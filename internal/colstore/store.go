@@ -211,7 +211,7 @@ func (s *Store) Schema() *dataset.Schema { return s.schema }
 func (s *Store) Rows() int { return s.rows }
 
 // Columns returns the ColumnSet over the mapped lanes. It is the direct
-// input to predicate filters, discovery (core.WithColumnStore) and chunked
+// input to predicate filters, discovery (core.DiscoverColumns) and chunked
 // scans; valid until Close.
 func (s *Store) Columns() *dataset.ColumnSet { return s.cols }
 

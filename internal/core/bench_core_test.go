@@ -5,6 +5,7 @@ package core
 // compaction, and indexed prediction against the linear-scan reference.
 
 import (
+	"context"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -21,7 +22,7 @@ func BenchmarkDiscoverSequential(b *testing.B) {
 	cfg := discoverCfg(rel, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverWithConfig(rel, cfg); err != nil {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,7 +33,7 @@ func BenchmarkDiscoverParallel4(b *testing.B) {
 	cfg := discoverCfg(rel, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverParallel(rel, cfg, 4); err != nil {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func BenchmarkDiscoverFullPass(b *testing.B) {
 	cfg.Trainer = regress.FullPass{T: regress.LinearTrainer{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverWithConfig(rel, cfg); err != nil {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +61,7 @@ func BenchmarkDiscoverNoSharing(b *testing.B) {
 	cfg.DisableSharing = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverWithConfig(rel, cfg); err != nil {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +69,7 @@ func BenchmarkDiscoverNoSharing(b *testing.B) {
 
 func BenchmarkCompact(b *testing.B) {
 	rel := benchRelation(b, 4000)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func BenchmarkCompact(b *testing.B) {
 
 func BenchmarkPredictIndexed(b *testing.B) {
 	rel := benchRelation(b, 4000)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func BenchmarkPredictIndexed(b *testing.B) {
 
 func BenchmarkPredictLinearScan(b *testing.B) {
 	rel := benchRelation(b, 4000)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func BenchmarkPredictLinearScan(b *testing.B) {
 
 func BenchmarkPrune(b *testing.B) {
 	rel := overRefinedRelation(2000, 0.3, 1)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.1))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.1)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestDiscoverTargetsCancel(t *testing.T) {
 // pivot is processed.
 func TestCompactCancel(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCompactCancel(t *testing.T) {
 func TestMaintainCancel(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestRuleSetCodecRoundTrip(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 3)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestReadRuleSetLegacyV1(t *testing.T) {
 // rejected rather than silently trusted.
 func TestRuleSetCodecNameMetadata(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 3)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

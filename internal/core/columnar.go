@@ -176,8 +176,8 @@ func (s *RuleSet) PredictBatch(rel *dataset.Relation) (preds []float64, covered 
 }
 
 // ViolationsColumns detects every (tuple, rule) violation against a
-// prebuilt ColumnSet, ordered by tuple then rule — bitwise-identical to
-// ViolationsRows. Per rule, the first satisfied conjunction binds the
+// prebuilt ColumnSet, ordered by tuple then rule — bitwise-identical to the
+// tuple-at-a-time reference in internal/verify. Per rule, the first satisfied conjunction binds the
 // built-in shifts (CRR.Predict semantics), so matched rows leave the rule's
 // candidate selection whether or not their X cells are null.
 func ViolationsColumns(cs *dataset.ColumnSet, s *RuleSet) []Violation {

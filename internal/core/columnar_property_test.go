@@ -11,13 +11,15 @@ import (
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
+	"github.com/crrlab/crr/internal/verify"
 )
 
 // The columnar execution core's parity contract, asserted property-style
 // across all five synthetic generators with randomized predicate sets and
 // injected nulls: vectorized Conjunction/DNF filters must equal Sat row
-// scans, ViolationsColumns must equal ViolationsRows, PredictBatch must
-// equal per-tuple Predict, and ExplainView must equal per-tuple Explain.
+// scans, ViolationsColumns must equal verify.ViolationsRows, PredictBatch
+// must equal per-tuple Predict, and ExplainView must equal per-tuple
+// Explain.
 
 func propertySpecs() []experiments.DatasetSpec {
 	return []experiments.DatasetSpec{
@@ -132,8 +134,8 @@ func discoverRules(t *testing.T, spec experiments.DatasetSpec, rel *dataset.Rela
 }
 
 // TestViolationsColumnarParity: ViolationsColumns (the engine behind
-// Violations) must equal the ViolationsRows reference on every generator,
-// including masked-null relations.
+// Violations) must equal the verify.ViolationsRows reference on every
+// generator, including masked-null relations.
 func TestViolationsColumnarParity(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
@@ -150,7 +152,7 @@ func TestViolationsColumnarParity(t *testing.T) {
 					check.Tuples[i] = nt
 				}
 			}
-			want := core.ViolationsRows(check, rules)
+			want := verify.ViolationsRows(check, rules)
 			got := core.Violations(check, rules)
 			if len(got) != len(want) {
 				t.Fatalf("violations: columnar %d, rows %d", len(got), len(want))
@@ -217,35 +219,38 @@ func TestExplainViewParity(t *testing.T) {
 	}
 }
 
-// TestDiscoveryRowScanBitwise: sequential discovery on the columnar scan
-// engine vs the RowScan reference must be bitwise-identical (weights
-// compared with tolerance 0) under a randomized predicate space.
-func TestDiscoveryRowScanBitwise(t *testing.T) {
+// TestDiscoveryKernelsVsTuples: the discovery kernels (lanes, trainable
+// rows, fallback, part SSE, split children) must match tuple-at-a-time
+// references bitwise along the best-split tree under a randomized predicate
+// space, nulls included — in a categorical condition attribute too, so
+// categorical fans meet null cells.
+func TestDiscoveryKernelsVsTuples(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			rel := spec.Gen(500)
+			rng := rand.New(rand.NewSource(43))
+			rel := maskedRelation(spec, 500, rng)
+			for _, a := range spec.CondAttrs {
+				if rel.Schema.Attr(a).Kind == dataset.Categorical {
+					rel.MaskMissing(a, 0.05, rng)
+					break
+				}
+			}
 			preds := predicate.Generate(rel, spec.CondAttrs, predicate.GeneratorConfig{
 				Kind: predicate.Binary, Size: 48, Seed: 17,
 			})
-			cfg := core.DiscoverConfig{
+			detail, err := verify.KernelsVsTuples(context.Background(), rel, core.DiscoverConfig{
 				XAttrs:  spec.XAttrs,
 				YAttr:   spec.YAttr,
 				RhoM:    spec.RhoM,
 				Preds:   preds,
 				Trainer: regress.LinearTrainer{},
-			}
-			colRes, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.RowScan = true
-			rowRes, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !experiments.SameRules(colRes.Rules, rowRes.Rules, 0) {
-				t.Fatal("columnar and row-scan discovery output not bitwise-identical")
+			if detail != "" {
+				t.Fatal(detail)
 			}
 		})
 	}

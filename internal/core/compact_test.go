@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -210,7 +211,7 @@ func TestCompactPreservesSemanticsProperty(t *testing.T) {
 
 func TestCompactAfterDiscover(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 12)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

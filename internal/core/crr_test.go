@@ -159,6 +159,10 @@ func TestRuleSetHolds(t *testing.T) {
 	rs := &RuleSet{Schema: lineSchema(), XAttrs: []int{0}, YAttr: 1, Rules: []CRR{phi}}
 	rel := dataset.NewRelation(lineSchema())
 	rel.MustAppend(lineTuple(1, 2.2, "a"))
+	rel.MustAppend(lineTuple(1, 2.1, "a"))
+	// An uncovered tuple and a null target violate nothing.
+	rel.MustAppend(lineTuple(-1, 99, "a"))
+	rel.MustAppend(dataset.Tuple{dataset.Num(3), dataset.Null(), dataset.Str("a")})
 	if !rs.Holds(rel) {
 		t.Error("satisfying relation reported as violating")
 	}

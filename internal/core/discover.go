@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
@@ -90,20 +91,6 @@ type DiscoverConfig struct {
 	// children cost queue work; the default single best cut matches the
 	// binary searching of the paper's complexity analysis (§V-A4).
 	Prop8Splits bool
-	// Columns discovers over a columnar substrate directly — typically the
-	// mmap-backed ColumnSet of an out-of-core store (internal/colstore) —
-	// instead of building one from a Relation. When set together with a
-	// Relation the two must describe the same data (the columnar engine reads
-	// Columns; the RowScan reference path reads the Relation); with a nil
-	// Relation (DiscoverColumns, WithColumnStore) the tuple-requiring paths
-	// (RowScan, the stability strategy) fail with ErrTuplesRequired.
-	Columns *dataset.ColumnSet
-	// RowScan switches part materialization and split scoring to the
-	// tuple-at-a-time reference path instead of the columnar engine
-	// (dataset.ColumnSet + vectorized predicate filters). The two paths are
-	// bitwise-identical by contract; RowScan exists so the parity harness
-	// (crrbench -compare, the property tests) can assert it end to end.
-	RowScan bool
 	// Workers is the discovery worker count: 0 or 1 selects the sequential
 	// engine, n > 1 the parallel engine with n workers, negative one worker
 	// per CPU. The parallel engine trades exact ind(C) ordering for
@@ -160,67 +147,56 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := applyDefaults(rel, &cfg); err != nil {
+	if rel == nil {
+		return nil, ErrEmptyRelation
+	}
+	cols := buildColumns(rel, cfg.Telemetry)
+	if err := applyDefaults(cols, &cfg); err != nil {
 		return nil, err
 	}
-	return discoverFor(ctx, rel, cfg)
+	return discoverFor(ctx, rel, cols, cfg)
 }
 
 // DiscoverColumns mines conditional regression rules directly over a
 // columnar substrate — the entrypoint for out-of-core discovery, where the
 // ColumnSet is the adopted view of an mmap'd store (colstore.Store.Columns)
 // and no Relation ever exists in memory. It accepts the same options as
-// Discover and is exactly equivalent to it by the engine's bitwise-parity
-// contract: the columnar hot path reads raw column values in identical order
-// either way. Tuple-requiring paths (WithConfig{RowScan: true}, the
-// stability strategy) fail with ErrTuplesRequired.
+// Discover and is exactly equivalent to it: Discover builds a ColumnSet from
+// its relation and runs the same columnar engine over it. Strategies that
+// resample tuples (stability) fail with ErrTuplesRequired.
 func DiscoverColumns(ctx context.Context, cols *dataset.ColumnSet, opts ...DiscoverOption) (*DiscoverResult, error) {
 	var cfg DiscoverConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cfg.Columns = cols
-	if err := applyDefaults(nil, &cfg); err != nil {
+	if err := applyDefaults(cols, &cfg); err != nil {
 		return nil, err
 	}
-	return discoverFor(ctx, nil, cfg)
+	return discoverFor(ctx, nil, cols, cfg)
 }
 
-// dataSource resolves the run's schema and row count from the configured
-// data: the relation when present, the column store otherwise. A run with
-// neither is an empty run.
-func dataSource(rel *dataset.Relation, cfg *DiscoverConfig) (rows int, schema *dataset.Schema, err error) {
-	switch {
-	case rel != nil:
-		return rel.Len(), rel.Schema, nil
-	case cfg.Columns != nil:
-		return cfg.Columns.Len(), cfg.Columns.Schema, nil
-	}
-	return 0, nil, ErrEmptyRelation
+// buildColumns builds the run's ColumnSet from rel once, charging the build
+// time to the columns.build_ns counter.
+func buildColumns(rel *dataset.Relation, reg *telemetry.Registry) *dataset.ColumnSet {
+	start := time.Now()
+	cols := dataset.NewColumnSet(rel)
+	reg.Counter(telemetry.MetricColumnsBuild).Add(time.Since(start).Nanoseconds())
+	return cols
 }
 
-// applyDefaults fills cfg's open slots against the run's data source the way
-// the options API promises — the paper-default predicate space over the X
+// applyDefaults fills cfg's open slots against the run's columns the way the
+// options API promises — the paper-default predicate space over the X
 // attributes plus every categorical attribute when ℙ is unset, then
-// Validate's trainer and ρ_M defaulting — and rejects empty inputs. Both the
-// tuple entrypoints (Discover, DiscoverTargets) and the columnar one
-// (DiscoverColumns) share it, so all accept the same minimal configurations.
-func applyDefaults(rel *dataset.Relation, cfg *DiscoverConfig) error {
-	rows, schema, err := dataSource(rel, cfg)
-	if err != nil {
-		return err
-	}
-	if rows == 0 {
+// Validate's trainer and ρ_M defaulting — and rejects empty (or nil) inputs.
+// Every options entrypoint (Discover, DiscoverTargets, DiscoverColumns)
+// shares it, so all accept the same minimal configurations.
+func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
+	if cols == nil || cols.Len() == 0 {
 		return ErrEmptyRelation
 	}
 	if cfg.Preds == nil {
-		attrs := defaultPredicateAttrs(schema, cfg.XAttrs, cfg.YAttr)
-		gcfg := predicate.GeneratorConfig{Seed: cfg.Seed}
-		if rel != nil {
-			cfg.Preds = predicate.Generate(rel, attrs, gcfg)
-		} else {
-			cfg.Preds = predicate.GenerateColumns(cfg.Columns, attrs, gcfg)
-		}
+		attrs := defaultPredicateAttrs(cols.Schema, cfg.XAttrs, cfg.YAttr)
+		cfg.Preds = predicate.GenerateColumns(cols, attrs, predicate.GeneratorConfig{Seed: cfg.Seed})
 	}
 	if len(cfg.Preds) == 0 {
 		return ErrNoPredicates
@@ -228,46 +204,28 @@ func applyDefaults(rel *dataset.Relation, cfg *DiscoverConfig) error {
 	return cfg.Validate()
 }
 
-// DiscoverWithConfig runs the configured strategy sequentially (Workers is
-// forced to 1) with an explicit configuration and no cancellation — the
-// pre-options API, now a thin shim over the strategy seam.
-//
-// Deprecated: use Discover with a context and options (wrap an existing
-// configuration with WithConfig).
-func DiscoverWithConfig(rel *dataset.Relation, cfg DiscoverConfig) (*DiscoverResult, error) {
-	cfg.Workers = 1
-	return discoverFor(context.Background(), rel, cfg)
-}
-
-// discoverPrep validates cfg against rel and builds the shared discovery
-// prelude: effective MinSupport/MaxNodes, the trainable tuple indices (rows
-// with non-null X and Y — null rows cannot be fit or checked and are the
-// imputation targets, not the training data) and the result skeleton with
-// the mean-of-Y fallback.
-func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *DiscoverResult, err error) {
-	rows, schema, err := dataSource(rel, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// discoverPrep validates cfg against the run's columns and builds the shared
+// discovery prelude: effective MinSupport/MaxNodes, the trainable row indices
+// (rows with non-null X and Y — null rows cannot be fit or checked and are
+// the imputation targets, not the training data) and the mean-of-Y fallback.
+func discoverPrep(cols *dataset.ColumnSet, cfg *DiscoverConfig) (all []int, fallback float64, err error) {
 	if cfg.Trainer == nil {
-		return nil, nil, ErrNoTrainer
+		return nil, 0, ErrNoTrainer
 	}
-	if cfg.RowScan && rel == nil {
-		return nil, nil, fmt.Errorf("%w: RowScan needs a Relation", ErrTuplesRequired)
-	}
-	if schema.Attr(cfg.YAttr).Kind != dataset.Numeric {
-		return nil, nil, ErrNonNumericTarget
+	if cols.Schema.Attr(cfg.YAttr).Kind != dataset.Numeric {
+		return nil, 0, ErrNonNumericTarget
 	}
 	for _, a := range cfg.XAttrs {
 		if a == cfg.YAttr {
-			return nil, nil, ErrTrivialTarget
+			return nil, 0, ErrTrivialTarget
 		}
 	}
 	for _, p := range cfg.Preds {
 		if p.Attr == cfg.YAttr {
-			return nil, nil, ErrPredicateOnTarget
+			return nil, 0, ErrPredicateOnTarget
 		}
 	}
+	rows := cols.Len()
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = len(cfg.XAttrs) + 2
 	}
@@ -275,65 +233,28 @@ func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *D
 		cfg.MaxNodes = 64*rows + 4096
 	}
 
-	// Trainable rows and the mean-of-Y fallback, from whichever
-	// representation backs the run. Both branches visit rows in ascending
-	// order over identical raw values (the ColumnSet stores raw Nums under
-	// its null bits), so the fallback is bitwise-identical across them.
 	all = make([]int, 0, rows)
-	if rel != nil {
-		for i, t := range rel.Tuples {
-			if t[cfg.YAttr].Null {
-				continue
-			}
-			ok := true
-			for _, a := range cfg.XAttrs {
-				if t[a].Null {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				all = append(all, i)
+rows:
+	for i := 0; i < rows; i++ {
+		if cols.IsNull(cfg.YAttr, i) {
+			continue
+		}
+		for _, a := range cfg.XAttrs {
+			if cols.IsNull(a, i) {
+				continue rows
 			}
 		}
-	} else {
-		cs := cfg.Columns
-		for i := 0; i < rows; i++ {
-			if cs.IsNull(cfg.YAttr, i) {
-				continue
-			}
-			ok := true
-			for _, a := range cfg.XAttrs {
-				if cs.IsNull(a, i) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				all = append(all, i)
-			}
-		}
+		all = append(all, i)
 	}
-	out = &DiscoverResult{Rules: &RuleSet{
-		Schema: schema,
-		XAttrs: append([]int(nil), cfg.XAttrs...),
-		YAttr:  cfg.YAttr,
-	}}
 	if len(all) > 0 {
 		var ysum float64
-		if rel != nil {
-			for _, i := range all {
-				ysum += rel.Tuples[i][cfg.YAttr].Num
-			}
-		} else {
-			ycol := cfg.Columns.Float(cfg.YAttr)
-			for _, i := range all {
-				ysum += ycol[i]
-			}
+		ycol := cols.Float(cfg.YAttr)
+		for _, i := range all {
+			ysum += ycol[i]
 		}
-		out.Rules.Fallback = ysum / float64(len(all))
+		fallback = ysum / float64(len(all))
 	}
-	return all, out, nil
+	return all, fallback, nil
 }
 
 // discTel holds the pre-resolved metric handles of one discovery run, so
@@ -342,7 +263,7 @@ func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *D
 type discTel struct {
 	nodes, trained, shared, shareTests, forced *telemetry.Counter
 	statReuse, cacheHits                       *telemetry.Counter
-	colsBuild, rowsScanned                     *telemetry.Counter
+	rowsScanned                                *telemetry.Counter
 	queueDepth                                 *telemetry.Gauge
 	trainTime, shareTime                       *telemetry.Histogram
 	scanWidth, filterSel                       *telemetry.Distribution
@@ -357,7 +278,6 @@ func newDiscTel(r *telemetry.Registry) discTel {
 		forced:      r.Counter(telemetry.MetricForcedRules),
 		statReuse:   r.Counter(telemetry.MetricStatReuse),
 		cacheHits:   r.Counter(telemetry.MetricCacheHits),
-		colsBuild:   r.Counter(telemetry.MetricColumnsBuild),
 		rowsScanned: r.Counter(telemetry.MetricFilterRowsScanned),
 		queueDepth:  r.Gauge(telemetry.MetricQueueDepth),
 		trainTime:   r.Histogram(telemetry.MetricTrainTime),
@@ -519,6 +439,10 @@ func latticeSeq(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
 // Reflexivity check. Cancellation is checked between targets and inside each
 // mine.
 func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, cfg DiscoverConfig) (map[int]*RuleSet, error) {
+	if rel == nil {
+		return nil, ErrEmptyRelation
+	}
+	cols := buildColumns(rel, cfg.Telemetry)
 	out := make(map[int]*RuleSet, len(targets))
 	for _, y := range targets {
 		if err := ctx.Err(); err != nil {
@@ -526,10 +450,10 @@ func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, 
 		}
 		c := cfg
 		c.YAttr = y
-		if err := applyDefaults(rel, &c); err != nil {
+		if err := applyDefaults(cols, &c); err != nil {
 			return nil, fmt.Errorf("core: target %d: %w", y, err)
 		}
-		res, err := discoverFor(ctx, rel, c)
+		res, err := discoverFor(ctx, rel, cols, c)
 		if err != nil {
 			return nil, fmt.Errorf("core: target %d: %w", y, err)
 		}
@@ -610,33 +534,21 @@ func newSplitIndex(preds []predicate.Predicate) *splitIndex {
 }
 
 // partScan is the per-discovery scan engine: predicate filtering, SSE
-// scoring and split selection over tuple index vectors. The default engine
-// runs columnar — vectorized predicate.Filter sweeps and dense column reads
-// over a dataset.ColumnSet built once per discovery — while RowScan selects
-// the tuple-at-a-time reference path. Both paths are bitwise-identical by
-// construction: the ColumnSet stores raw cell values, selections stay in
-// tuple order, and every float accumulation runs in the same order
-// (categorical fans sum per-value SSE in sorted value order in both modes).
+// scoring and split selection over row index vectors, run as vectorized
+// predicate.Filter sweeps and dense column reads over the run's ColumnSet.
+// Selections stay in row order and every float accumulation runs in a fixed
+// order (categorical fans sum per-value SSE in sorted value order), so the
+// output is bitwise-reproducible; internal/verify checks it against a
+// tuple-at-a-time reference.
 type partScan struct {
-	rel  *dataset.Relation
 	cols *dataset.ColumnSet
-	row  bool // tuple-at-a-time reference path (DiscoverConfig.RowScan)
-	// Columnar-engine telemetry; nil handles no-op.
+	// Telemetry; nil handles no-op.
 	rowsScanned *telemetry.Counter
 	selectivity *telemetry.Distribution
 }
 
 // filterIdxs returns the subset of idxs satisfying p, preserving order.
 func (sc *partScan) filterIdxs(idxs []int, p predicate.Predicate) []int {
-	if sc.row {
-		var out []int
-		for _, i := range idxs {
-			if p.Sat(sc.rel.Tuples[i]) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
 	out := p.Filter(sc.cols, idxs, nil)
 	sc.rowsScanned.Add(int64(len(idxs)))
 	if len(idxs) > 0 {
@@ -674,35 +586,27 @@ type splitCandidate struct {
 }
 
 // topSplits scores every applicable split group and materializes the
-// children of the k best (Proposition 8's multi-split when k > 1).
+// children of the k best (Proposition 8's multi-split when k > 1). An empty
+// part has no split.
 func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]childPart {
-	rel := sc.rel
+	if len(idxs) == 0 {
+		return nil
+	}
 	total := sc.sse(idxs, yattr)
 	var cands []splitCandidate
 
-	var yc []float64
-	if !sc.row {
-		yc = sc.cols.Float(yattr)
-	}
+	yc := sc.cols.Float(yattr)
 	for _, a := range si.numAttrs {
 		cuts := si.cuts[a]
 		// Sort the part once by the attribute value; prefix sums of y, y².
 		vals := make([]float64, len(idxs))
 		ys := make([]float64, len(idxs))
 		order := make([]int, len(idxs))
-		if sc.row {
-			for i, ti := range idxs {
-				order[i] = i
-				vals[i] = rel.Tuples[ti][a].Num
-				ys[i] = rel.Tuples[ti][yattr].Num
-			}
-		} else {
-			col := sc.cols.Float(a)
-			for i, ti := range idxs {
-				order[i] = i
-				vals[i] = col[ti]
-				ys[i] = yc[ti]
-			}
+		col := sc.cols.Float(a)
+		for i, ti := range idxs {
+			order[i] = i
+			vals[i] = col[ti]
+			ys[i] = yc[ti]
 		}
 		sort.Slice(order, func(i, j int) bool { return vals[order[i]] < vals[order[j]] })
 		sortedVals := make([]float64, len(order))
@@ -745,34 +649,28 @@ func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]chil
 
 	// Categorical fans.
 	for _, a := range si.catOrder {
-		byValue := make(map[string][]int)
-		if sc.row {
-			for _, ti := range idxs {
-				byValue[rel.Tuples[ti][a].Str] = append(byValue[rel.Tuples[ti][a].Str], ti)
+		// Group by dictionary code, then name the groups: a null cell's
+		// NullCode maps to "", matching the Str of a null Value.
+		codes := sc.cols.Codes(a)
+		dict := sc.cols.Dict(a)
+		byCode := make(map[uint32][]int)
+		for _, ti := range idxs {
+			byCode[codes[ti]] = append(byCode[codes[ti]], ti)
+		}
+		byValue := make(map[string][]int, len(byCode))
+		for code, part := range byCode {
+			v := ""
+			if code != dataset.NullCode {
+				v = dict[code]
 			}
-		} else {
-			// Group by dictionary code, then name the groups: a null cell's
-			// NullCode maps to "", matching the Str of a null Value.
-			codes := sc.cols.Codes(a)
-			dict := sc.cols.Dict(a)
-			byCode := make(map[uint32][]int)
-			for _, ti := range idxs {
-				byCode[codes[ti]] = append(byCode[codes[ti]], ti)
-			}
-			for code, part := range byCode {
-				v := ""
-				if code != dataset.NullCode {
-					v = dict[code]
-				}
-				byValue[v] = part
-			}
+			byValue[v] = part
 		}
 		if len(byValue) < 2 {
 			continue
 		}
 		// The equality fan must cover every value present in D_C. Summing
 		// child SSEs in sorted value order — not map order — keeps the gain
-		// a deterministic float and bitwise-identical across scan modes.
+		// a deterministic float.
 		present := si.catValues[a]
 		values := make([]string, 0, len(byValue))
 		covered := true
@@ -833,36 +731,14 @@ func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]chil
 	return out
 }
 
-// sse returns Σ (y − ȳ)² over the selected tuples' target values. Both scan
-// modes accumulate in idxs order over identical raw values, so the result is
-// bitwise-identical.
+// sse returns Σ (y − ȳ)² over the selected rows' non-null target values,
+// accumulated in idxs order.
 func (sc *partScan) sse(idxs []int, yattr int) float64 {
 	if len(idxs) == 0 {
 		return 0
 	}
 	var sum float64
 	n := 0
-	if sc.row {
-		rel := sc.rel
-		for _, i := range idxs {
-			if !rel.Tuples[i][yattr].Null {
-				sum += rel.Tuples[i][yattr].Num
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		mean := sum / float64(n)
-		var s float64
-		for _, i := range idxs {
-			if !rel.Tuples[i][yattr].Null {
-				d := rel.Tuples[i][yattr].Num - mean
-				s += d * d
-			}
-		}
-		return s
-	}
 	col := sc.cols.Float(yattr)
 	nulls := sc.cols.Nulls(yattr)
 	if nulls == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,7 +57,7 @@ func TestDiscoverInvariantsProperty(t *testing.T) {
 			FuseShared:     rng.Intn(2) == 0,
 			Prop8Splits:    rng.Intn(2) == 0,
 		}
-		res, err := DiscoverWithConfig(rel, cfg)
+		res, err := Discover(context.Background(), rel, WithConfig(cfg))
 		if err != nil {
 			return false
 		}
@@ -76,10 +77,10 @@ func TestCompactIdempotentProperty(t *testing.T) {
 		preds := predicate.Generate(rel, []int{0}, predicate.GeneratorConfig{
 			Kind: predicate.Binary, Size: 32,
 		})
-		res, err := DiscoverWithConfig(rel, DiscoverConfig{
+		res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 			XAttrs: []int{0}, YAttr: 1, RhoM: 2*noise + 0.2,
 			Preds: preds, Trainer: regress.LinearTrainer{},
-		})
+		}))
 		if err != nil {
 			return false
 		}
@@ -105,12 +106,12 @@ func TestCompactIdempotentProperty(t *testing.T) {
 func TestDiscoverProp8Splits(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 9)
 	cfg := discoverCfg(rel, 0.5)
-	plain, err := DiscoverWithConfig(rel, cfg)
+	plain, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Prop8Splits = true
-	multi, err := DiscoverWithConfig(rel, cfg)
+	multi, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

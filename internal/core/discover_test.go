@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func discoverCfg(rel *dataset.Relation, rhoM float64) DiscoverConfig {
 
 func TestDiscoverCoversData(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -69,7 +70,7 @@ func TestDiscoverCoversData(t *testing.T) {
 
 func TestDiscoverSharesModels(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +88,12 @@ func TestDiscoverSharesModels(t *testing.T) {
 func TestDiscoverSharingAblation(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	with, err := DiscoverWithConfig(rel, cfg)
+	with, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisableSharing = true
-	without, err := DiscoverWithConfig(rel, cfg)
+	without, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDiscoverSharingAblation(t *testing.T) {
 func TestDiscoverShareBuiltinDelta(t *testing.T) {
 	// The shared-regime rule must carry a y = δ builtin with δ ≈ 30.
 	rel := piecewiseRelation(600, 0.1, 1)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.3))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestDiscoverShareBuiltinDelta(t *testing.T) {
 
 func TestDiscoverRespectsRhoM(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 2)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,47 +145,39 @@ func TestDiscoverRespectsRhoM(t *testing.T) {
 func TestDiscoverValidation(t *testing.T) {
 	rel := piecewiseRelation(50, 0.1, 3)
 	cfg := discoverCfg(rel, 0.5)
-	cfg.Trainer = nil
-	if _, err := DiscoverWithConfig(rel, cfg); !errors.Is(err, ErrNoTrainer) {
-		t.Errorf("nil trainer err = %v", err)
-	}
-	cfg = discoverCfg(rel, 0.5)
 	cfg.XAttrs = []int{1}
-	if _, err := DiscoverWithConfig(rel, cfg); !errors.Is(err, ErrTrivialTarget) {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, ErrTrivialTarget) {
 		t.Errorf("Y∈X err = %v (Reflexivity must reject)", err)
 	}
 	cfg = discoverCfg(rel, 0.5)
 	cfg.Preds = append(cfg.Preds, predicate.NumPred(1, predicate.Gt, 0))
-	if _, err := DiscoverWithConfig(rel, cfg); !errors.Is(err, ErrPredicateOnTarget) {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, ErrPredicateOnTarget) {
 		t.Errorf("pred-on-Y err = %v", err)
 	}
 	cfg = discoverCfg(rel, 0.5)
 	cfg.YAttr = 2 // categorical
 	cfg.Preds = nil
-	if _, err := DiscoverWithConfig(rel, cfg); !errors.Is(err, ErrNonNumericTarget) {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, ErrNonNumericTarget) {
 		t.Errorf("categorical target err = %v", err)
 	}
 }
 
 func TestDiscoverEmptyRelation(t *testing.T) {
 	rel := dataset.NewRelation(lineSchema())
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	_, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: regress.LinearTrainer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rules.NumRules() != 0 {
-		t.Error("rules from empty relation")
+	}))
+	if !errors.Is(err, ErrEmptyRelation) {
+		t.Errorf("empty relation err = %v, want ErrEmptyRelation", err)
 	}
 }
 
 func TestDiscoverAllNullTarget(t *testing.T) {
 	rel := dataset.NewRelation(lineSchema())
 	rel.MustAppend(dataset.Tuple{dataset.Num(1), dataset.Null(), dataset.Str("a")})
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil || res.Rules.NumRules() != 0 {
 		t.Errorf("all-null target: %d rules, %v", res.Rules.NumRules(), err)
 	}
@@ -194,9 +187,9 @@ func TestDiscoverSingleTuple(t *testing.T) {
 	// The paper's edge case: the smallest data part learns its own model.
 	rel := dataset.NewRelation(lineSchema())
 	rel.MustAppend(lineTuple(3, 10, "a"))
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0}, YAttr: 1, RhoM: 0.1, Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +216,9 @@ func TestDiscoverCategoricalSplit(t *testing.T) {
 		})
 	}
 	preds := predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{Kind: predicate.Binary, Size: 8})
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0}, YAttr: 1, RhoM: 0.5, Preds: preds, Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +233,12 @@ func TestDiscoverCategoricalSplit(t *testing.T) {
 func TestDiscoverFuseShared(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	plain, err := DiscoverWithConfig(rel, cfg)
+	plain, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.FuseShared = true
-	fused, err := DiscoverWithConfig(rel, cfg)
+	fused, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +269,7 @@ func TestDiscoverOrderings(t *testing.T) {
 		cfg := discoverCfg(rel, 0.5)
 		cfg.Order = ord
 		cfg.Seed = 11
-		res, err := DiscoverWithConfig(rel, cfg)
+		res, err := Discover(context.Background(), rel, WithConfig(cfg))
 		if err != nil {
 			t.Fatalf("order %v: %v", ord, err)
 		}
@@ -289,11 +282,11 @@ func TestDiscoverOrderings(t *testing.T) {
 func TestDiscoverDeterministic(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
-	a, err := DiscoverWithConfig(rel, cfg)
+	a, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DiscoverWithConfig(rel, cfg)
+	b, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +306,7 @@ func TestDiscoverConstantRegime(t *testing.T) {
 		y := 60.10 + 0.1*(2*rng.Float64()-1)
 		rel.MustAppend(dataset.Tuple{dataset.Num(x), dataset.Num(y), dataset.Str("a")})
 	}
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,5 +325,28 @@ func TestQueueOrderString(t *testing.T) {
 	}
 	if QueueOrder(7).String() != "unknown" {
 		t.Error("unknown order string")
+	}
+}
+
+// emptyPartStrategy asks the substrate to split an empty part.
+type emptyPartStrategy struct{ groups [][]SplitChild }
+
+func (*emptyPartStrategy) Name() string { return "empty-part" }
+
+func (s *emptyPartStrategy) Induce(_ context.Context, sub *Substrate) (*DiscoverResult, error) {
+	s.groups = sub.TopSplits(nil, 1)
+	return sub.NewResult(), nil
+}
+
+// TestTopSplitsEmptyPart: an empty part has no split; TopSplits returns nil
+// instead of indexing into an empty sort.
+func TestTopSplitsEmptyPart(t *testing.T) {
+	rel := piecewiseRelation(100, 0.2, 7)
+	s := &emptyPartStrategy{}
+	if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
+		t.Fatal(err)
+	}
+	if s.groups != nil {
+		t.Fatalf("TopSplits(nil) = %v, want nil", s.groups)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Discover, DiscoverTargets, Maintain and CompactCtx wraps one of these, so
 // callers branch with errors.Is instead of string matching.
 var (
-	// ErrNoTrainer reports a nil DiscoverConfig.Trainer on the deprecated
-	// config entrypoints (the options API defaults to OLS instead).
+	// ErrNoTrainer reports a nil DiscoverConfig.Trainer passed to Maintain
+	// (the options entrypoints default it to OLS instead).
 	ErrNoTrainer = errors.New("core: DiscoverConfig.Trainer is nil")
 	// ErrTrivialTarget reports Y ∈ X, which would only yield trivially
 	// satisfiable rules (Reflexivity, Proposition 1).
@@ -26,9 +26,9 @@ var (
 	// ErrNoPredicates reports an explicitly empty predicate space on the
 	// options-API Discover (omit WithPredicates to auto-generate ℙ instead).
 	ErrNoPredicates = errors.New("core: empty predicate space")
-	// ErrTuplesRequired reports a path that needs tuple-backed data — the
-	// RowScan reference engine, the stability strategy's bootstrap resampling
-	// — invoked on a column-store-backed discovery, where no Relation exists.
+	// ErrTuplesRequired reports a strategy that needs tuple-backed data — the
+	// stability strategy's bootstrap resampling — invoked on a
+	// column-store-backed discovery, where no Relation exists.
 	ErrTuplesRequired = errors.New("core: this path requires tuple-backed data, but discovery runs over a column store")
 	// ErrCanceled reports a discovery, maintenance or compaction run cut
 	// short by context cancellation or deadline. It wraps the context's own

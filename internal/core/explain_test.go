@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -75,7 +76,7 @@ func TestExplainNullTarget(t *testing.T) {
 
 func TestExplainAgreesWithPredictAndViolations(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 13)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestDiscoverPropagatesTrainerError(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 31)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
-	_, err := DiscoverWithConfig(rel, cfg)
+	_, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
@@ -46,7 +46,7 @@ func TestDiscoverMidRunTrainerError(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 32)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 2}
-	if _, err := DiscoverWithConfig(rel, cfg); !errors.Is(err, errInjected) {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, errInjected) {
 		t.Fatalf("mid-run err = %v, want the injected failure", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestDiscoverParallelPropagatesTrainerError(t *testing.T) {
 	// calls counter races harmlessly for the purposes of this test, but use
 	// failAfter 0 so every call fails deterministically.
 	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
-	if _, err := DiscoverParallel(rel, cfg, 4); !errors.Is(err, errInjected) {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); !errors.Is(err, errInjected) {
 		t.Fatalf("parallel err = %v, want the injected failure", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestDiscoverParallelPropagatesTrainerError(t *testing.T) {
 func TestMaintainPropagatesTrainerError(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 34)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMaintainPropagatesTrainerError(t *testing.T) {
 
 func TestPrunePropagatesTrainerError(t *testing.T) {
 	rel := overRefinedRelation(600, 0.3, 35)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.1))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.1)))
 	if err != nil {
 		t.Fatal(err)
 	}

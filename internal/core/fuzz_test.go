@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func FuzzReadRuleSet(f *testing.F) {
 	// A genuine artifact as the seed the fuzzer mutates from.
 	rel := piecewiseRelation(200, 0.2, 7)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -7,7 +7,7 @@ package core
 // model set F (Line 7's hit test, then Line 12's sharing index), and the
 // from-scratch OLS fit of Line 13. This file removes all three:
 //
-//   - the discovery-wide dataset.ColumnSet (built once per run) holds the X
+//   - the run's dataset.ColumnSet (built once per run) holds the X
 //     and Y columns contiguously, so queue pops gather dense column values
 //     instead of walking dataset tuples, and part materialization runs
 //     through the vectorized predicate filters;
@@ -35,11 +35,10 @@ import (
 
 // hotLoop is the shared, read-only state of one discovery run's hot path.
 // Workers share it; per-worker scratch lives in partWorkspace. Parts are
-// materialized and scored against the run's columnar mirror (sc.cols), built
-// once; trainable rows have non-null X and Y, so per-node access is a dense
-// column gather with no null checks.
+// materialized and scored against the run's ColumnSet (sc.cols); trainable
+// rows have non-null X and Y, so per-node access is a dense column gather
+// with no null checks.
 type hotLoop struct {
-	rel   *dataset.Relation
 	cfg   *DiscoverConfig
 	si    *splitIndex
 	sc    *partScan
@@ -64,23 +63,12 @@ type hotLoop struct {
 	exact bool
 }
 
-func newHotLoop(rel *dataset.Relation, cfg *DiscoverConfig, si *splitIndex, all []int, tel discTel, exact bool) *hotLoop {
-	// An externally supplied columnar substrate (DiscoverColumns over an
-	// mmap'd store) is used as-is — no per-run build, no build-time charge.
-	cols := cfg.Columns
-	if cols == nil {
-		start := time.Now()
-		cols = dataset.NewColumnSet(rel)
-		tel.colsBuild.Add(time.Since(start).Nanoseconds())
-	}
+func newHotLoop(cols *dataset.ColumnSet, cfg *DiscoverConfig, si *splitIndex, tel discTel, exact bool) *hotLoop {
 	hl := &hotLoop{
-		rel: rel,
 		cfg: cfg,
 		si:  si,
 		sc: &partScan{
-			rel:         rel,
 			cols:        cols,
-			row:         cfg.RowScan,
 			rowsScanned: tel.rowsScanned,
 			selectivity: tel.filterSel,
 		},

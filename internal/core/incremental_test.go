@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestMaintainSatisfiedTuplesNoChange(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestMaintainSatisfiedTuplesNoChange(t *testing.T) {
 func TestMaintainWidensWithinRhoM(t *testing.T) {
 	rel := piecewiseRelation(400, 0.1, 3)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestMaintainWidensWithinRhoM(t *testing.T) {
 func TestMaintainDiscoversNewRegime(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 4)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestMaintainDiscoversNewRegime(t *testing.T) {
 func TestMaintainSharesSeedModels(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestMaintainSharesSeedModels(t *testing.T) {
 func TestMaintainNullTargetSkipped(t *testing.T) {
 	rel := piecewiseRelation(200, 0.2, 8)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +174,30 @@ func TestMaintainNullTargetSkipped(t *testing.T) {
 	}
 	if st.Satisfied+st.Widened+st.Rediscovered != 0 {
 		t.Errorf("null-target tuple was classified: %+v", st)
+	}
+}
+
+// TestMaintainNoTrainer: Maintain passes its configuration to discovery
+// without the options defaulting, so a nil trainer reaches ErrNoTrainer once
+// new tuples need rules.
+func TestMaintainNoTrainer(t *testing.T) {
+	rel := piecewiseRelation(200, 0.2, 9)
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := rel.Len()
+	for i := 0; i < 20; i++ {
+		x := 200 + float64(i)
+		rel.MustAppend(lineTuple(x, 7*x, "t"))
+	}
+	var newIdx []int
+	for i := start; i < rel.Len(); i++ {
+		newIdx = append(newIdx, i)
+	}
+	cfg := discoverCfg(rel, 0.5)
+	cfg.Trainer = nil
+	if _, _, err := Maintain(context.Background(), rel, res.Rules, newIdx, cfg); !errors.Is(err, ErrNoTrainer) {
+		t.Fatalf("nil trainer err = %v, want ErrNoTrainer", err)
 	}
 }

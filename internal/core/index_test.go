@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,7 +117,7 @@ func TestRuleIndexEmptyXAttrs(t *testing.T) {
 
 func TestRuleSetPredictConcurrent(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 11)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,13 @@ func multiXRelation(n int, noise float64, seed int64) *dataset.Relation {
 func TestDiscoverMultiFeature(t *testing.T) {
 	rel := multiXRelation(800, 0.2, 1)
 	preds := predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{})
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs:  []int{0, 1}, // A, B
 		YAttr:   3,
 		RhoM:    0.5,
 		Preds:   preds, // conditions over T only
 		Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -84,10 +84,10 @@ func TestDiscoverMultiFeature(t *testing.T) {
 func TestDiscoverMultiFeatureCompactionAndCodec(t *testing.T) {
 	rel := multiXRelation(600, 0.2, 2)
 	preds := predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{})
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0, 1}, YAttr: 3, RhoM: 0.5,
 		Preds: preds, Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

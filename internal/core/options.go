@@ -17,7 +17,7 @@ const DefaultMaxBias = 1.0
 type DiscoverOption func(*DiscoverConfig)
 
 // WithConfig replaces the entire configuration; later options still apply
-// on top. It is the migration path from the deprecated config entrypoints.
+// on top.
 func WithConfig(cfg DiscoverConfig) DiscoverOption {
 	return func(c *DiscoverConfig) { *c = cfg }
 }
@@ -52,15 +52,6 @@ func WithMaxBias(rhoM float64) DiscoverOption {
 // attributes plus every categorical attribute.
 func WithPredicates(preds []predicate.Predicate) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Preds = preds }
-}
-
-// WithColumnStore discovers directly over a columnar substrate — typically
-// the adopted ColumnSet of an mmap'd out-of-core store
-// (colstore.Store.Columns) — instead of building one from the relation. See
-// DiscoverConfig.Columns for the contract, and DiscoverColumns for the
-// relation-free entrypoint this option backs.
-func WithColumnStore(cols *dataset.ColumnSet) DiscoverOption {
-	return func(c *DiscoverConfig) { c.Columns = cols }
 }
 
 // WithTrainer selects the model family trainer (default: OLS, family F1).

@@ -95,7 +95,7 @@ func TestOptionsComposition(t *testing.T) {
 	}
 	// The WithMaxBias(0.5) layered over the 0.1 base config must govern the
 	// mine: the result must match a direct run at ρ_M = 0.5.
-	direct, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	direct, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,28 +118,5 @@ func TestValidateNormalizes(t *testing.T) {
 	}
 	if cfg.RhoM != DefaultMaxBias {
 		t.Errorf("RhoM = %v, want DefaultMaxBias", cfg.RhoM)
-	}
-}
-
-// TestDeprecatedWrappersAgree: the legacy entrypoints and the options API
-// mine the same rule set on the same configuration.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	rel := piecewiseRelation(400, 0.2, 1)
-	cfg := discoverCfg(rel, 0.5)
-
-	legacy, err := DiscoverWithConfig(rel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Rules.NumRules() != modern.Rules.NumRules() {
-		t.Errorf("legacy mined %d rules, options API %d",
-			legacy.Rules.NumRules(), modern.Rules.NumRules())
-	}
-	if legacy.Stats != modern.Stats {
-		t.Errorf("stats diverge: legacy %+v, modern %+v", legacy.Stats, modern.Stats)
 	}
 }

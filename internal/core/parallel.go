@@ -6,24 +6,9 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 )
-
-// DiscoverParallel runs the configured strategy with an explicit worker
-// count and no cancellation — the pre-options API, now a thin shim over the
-// strategy seam. workers ≤ 0 selects one worker per CPU; 1 runs the
-// sequential engine.
-//
-// Deprecated: use Discover with a context and WithWorkers(workers).
-func DiscoverParallel(rel *dataset.Relation, cfg DiscoverConfig, workers int) (*DiscoverResult, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	cfg.Workers = workers
-	return discoverFor(context.Background(), rel, cfg)
-}
 
 // latticePar runs Algorithm 1 with a worker pool: independent
 // condition parts are processed concurrently, the shared model set F is

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
 func TestDiscoverParallelInvariants(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverParallel(rel, cfg, 4)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
 	if err != nil {
-		t.Fatalf("DiscoverParallel: %v", err)
+		t.Fatalf("parallel Discover: %v", err)
 	}
 	if cov := res.Rules.Coverage(rel); cov != 1 {
 		t.Errorf("coverage = %v, want 1", cov)
@@ -18,7 +20,7 @@ func TestDiscoverParallelInvariants(t *testing.T) {
 		t.Error("parallel rules violated on training data")
 	}
 	// Quality matches the sequential result within a generous band.
-	seq, err := DiscoverWithConfig(rel, cfg)
+	seq, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +34,11 @@ func TestDiscoverParallelInvariants(t *testing.T) {
 func TestDiscoverParallelOneWorkerIsSequential(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 2)
 	cfg := discoverCfg(rel, 0.5)
-	par, err := DiscoverParallel(rel, cfg, 1)
+	par, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := DiscoverWithConfig(rel, cfg)
+	seq, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestDiscoverParallelFuseShared(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 3)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.FuseShared = true
-	res, err := DiscoverParallel(rel, cfg, 4)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +70,8 @@ func TestDiscoverParallelFuseShared(t *testing.T) {
 func TestDiscoverParallelValidation(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 4)
 	cfg := discoverCfg(rel, 0.5)
-	cfg.Trainer = nil
-	if _, err := DiscoverParallel(rel, cfg, 4); err == nil {
-		t.Error("nil trainer accepted")
-	}
-	cfg = discoverCfg(rel, 0.5)
 	cfg.XAttrs = []int{1}
-	if _, err := DiscoverParallel(rel, cfg, 4); err == nil {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err == nil {
 		t.Error("Y ∈ X accepted")
 	}
 }
@@ -82,9 +79,8 @@ func TestDiscoverParallelValidation(t *testing.T) {
 func TestDiscoverParallelEmpty(t *testing.T) {
 	rel := piecewiseRelation(0, 0.2, 5)
 	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: discoverCfg(piecewiseRelation(10, 0.1, 5), 0.5).Trainer}
-	res, err := DiscoverParallel(rel, cfg, 4)
-	if err != nil || res.Rules.NumRules() != 0 {
-		t.Errorf("empty parallel: %d rules, %v", res.Rules.NumRules(), err)
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); !errors.Is(err, ErrEmptyRelation) {
+		t.Errorf("empty parallel err = %v, want ErrEmptyRelation", err)
 	}
 }
 
@@ -93,7 +89,7 @@ func TestDiscoverParallelManyWorkersRace(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
 	for trial := 0; trial < 3; trial++ {
-		res, err := DiscoverParallel(rel, cfg, 16)
+		res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(16))
 		if err != nil {
 			t.Fatal(err)
 		}

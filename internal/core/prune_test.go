@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func overRefinedRelation(n int, noise float64, seed int64) *dataset.Relation {
 func TestPruneMergesOverRefinedWindows(t *testing.T) {
 	rel := overRefinedRelation(800, 0.3, 1)
 	cfg := discoverCfg(rel, 0.1) // ρ_M below the noise: heavy over-refinement
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestPruneKeepsDistinctRegimes(t *testing.T) {
 		}
 		rel.MustAppend(lineTuple(x, y+0.1*(2*rng.Float64()-1), "a"))
 	}
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.3))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +97,9 @@ func TestPruneRespectsContext(t *testing.T) {
 		rel.MustAppend(lineTuple(x, y+0.05*(2*rng.Float64()-1), "c"+tag))
 	}
 	preds := predicate.Generate(rel, []int{0, 2}, predicate.GeneratorConfig{})
-	res, err := DiscoverWithConfig(rel, DiscoverConfig{
+	res, err := Discover(context.Background(), rel, WithConfig(DiscoverConfig{
 		XAttrs: []int{0}, YAttr: 1, RhoM: 0.02, Preds: preds, Trainer: regress.LinearTrainer{},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestPruneMergesSharedBuiltinWindows(t *testing.T) {
 	// Discovery with sharing emits windows carrying y=δ0 builtins; they must
 	// still merge when one model explains adjacent windows.
 	rel := overRefinedRelation(800, 0.3, 2)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.1))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,12 +59,11 @@ func Canceled(cause error) error { return canceled(cause) }
 // goroutines (the parallel lattice engine builds per-worker workspaces
 // instead).
 type Substrate struct {
-	rel      *dataset.Relation // nil when the run is column-store-backed
-	schema   *dataset.Schema
-	rows     int
-	cfg      *DiscoverConfig // validated; MinSupport/MaxNodes defaulted
-	all      []int           // trainable rows (non-null X and Y), ascending
-	fallback float64         // mean of Y over the trainable rows
+	rel      *dataset.Relation  // nil when the run is column-store-backed
+	cols     *dataset.ColumnSet // the run's data, built once per run
+	cfg      *DiscoverConfig    // validated; MinSupport/MaxNodes defaulted
+	all      []int              // trainable rows (non-null X and Y), ascending
+	fallback float64            // mean of Y over the trainable rows
 	tel      discTel
 
 	si      *splitIndex    // lazy
@@ -73,41 +72,35 @@ type Substrate struct {
 	kws     *partWorkspace // lazy: scratch for the kernel methods
 }
 
-// newSubstrate validates cfg against rel (mutating it to its effective
+// newSubstrate validates cfg against cols (mutating it to its effective
 // defaults) and prepares the run state shared by every strategy.
-func newSubstrate(rel *dataset.Relation, cfg *DiscoverConfig) (*Substrate, error) {
-	all, out, err := discoverPrep(rel, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows, schema, err := dataSource(rel, cfg)
+func newSubstrate(rel *dataset.Relation, cols *dataset.ColumnSet, cfg *DiscoverConfig) (*Substrate, error) {
+	all, fallback, err := discoverPrep(cols, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Substrate{
 		rel:      rel,
-		schema:   schema,
-		rows:     rows,
+		cols:     cols,
 		cfg:      cfg,
 		all:      all,
-		fallback: out.Rules.Fallback,
+		fallback: fallback,
 		tel:      newDiscTel(cfg.Telemetry),
 	}, nil
 }
 
 // Relation returns the relation under discovery, or nil when the run is
-// column-store-backed (DiscoverColumns / WithColumnStore with no Relation).
-// Strategies that need tuples must check and fail with ErrTuplesRequired;
-// row counting belongs on NumRows, which works either way.
+// column-store-backed (DiscoverColumns). Only strategies that resample
+// tuples need it; they must check and fail with ErrTuplesRequired. Every
+// kernel reads Columns.
 func (s *Substrate) Relation() *dataset.Relation { return s.rel }
 
-// Schema returns the schema of the data under discovery, whichever
-// representation backs it.
-func (s *Substrate) Schema() *dataset.Schema { return s.schema }
+// Schema returns the schema of the data under discovery.
+func (s *Substrate) Schema() *dataset.Schema { return s.cols.Schema }
 
 // NumRows returns the total row count of the data under discovery (not just
-// the trainable rows), whichever representation backs it.
-func (s *Substrate) NumRows() int { return s.rows }
+// the trainable rows).
+func (s *Substrate) NumRows() int { return s.cols.Len() }
 
 // Config returns the effective configuration: defaults resolved, MinSupport
 // and MaxNodes at their documented fallbacks. The slices (XAttrs, Preds,
@@ -125,19 +118,18 @@ func (s *Substrate) TrainableRows() []int { return s.all }
 // and serving layers.
 func (s *Substrate) NewResult() *DiscoverResult {
 	return &DiscoverResult{Rules: &RuleSet{
-		Schema:   s.schema,
+		Schema:   s.cols.Schema,
 		XAttrs:   append([]int(nil), s.cfg.XAttrs...),
 		YAttr:    s.cfg.YAttr,
 		Fallback: s.fallback,
 	}}
 }
 
-// Columns returns the discovery-wide column cache (built lazily, once).
-func (s *Substrate) Columns() *dataset.ColumnSet { return s.hot(true).sc.cols }
+// Columns returns the run's ColumnSet, which every kernel reads.
+func (s *Substrate) Columns() *dataset.ColumnSet { return s.cols }
 
 // Filter returns the subset of idxs satisfying p, preserving order, through
-// the run's scan engine (vectorized columnar sweep, or the row-scan
-// reference path under DiscoverConfig.RowScan).
+// the run's vectorized columnar sweep.
 func (s *Substrate) Filter(idxs []int, p predicate.Predicate) []int {
 	return s.hot(true).sc.filterIdxs(idxs, p)
 }
@@ -158,10 +150,13 @@ type SplitChild struct {
 // {>c, ≤c} cut pairs and categorical equality fans from the predicate
 // space — by SSE reduction and materializes the children of the k best.
 // Every returned group partitions the part, so unions of children preserve
-// coverage.
+// coverage. An empty part has no split and returns nil.
 func (s *Substrate) TopSplits(idxs []int, k int) [][]SplitChild {
 	hl := s.hot(true)
 	groups := hl.sc.topSplits(idxs, s.splitIdx(), s.cfg.YAttr, k)
+	if len(groups) == 0 {
+		return nil
+	}
 	out := make([][]SplitChild, len(groups))
 	for i, g := range groups {
 		cs := make([]SplitChild, len(g))
@@ -230,12 +225,12 @@ func (s *Substrate) splitIdx() *splitIndex {
 func (s *Substrate) hot(exact bool) *hotLoop {
 	if exact {
 		if s.hotEx == nil {
-			s.hotEx = newHotLoop(s.rel, s.cfg, s.splitIdx(), s.all, s.tel, true)
+			s.hotEx = newHotLoop(s.cols, s.cfg, s.splitIdx(), s.tel, true)
 		}
 		return s.hotEx
 	}
 	if s.hotFast == nil {
-		s.hotFast = newHotLoop(s.rel, s.cfg, s.splitIdx(), s.all, s.tel, false)
+		s.hotFast = newHotLoop(s.cols, s.cfg, s.splitIdx(), s.tel, false)
 	}
 	return s.hotFast
 }
@@ -278,12 +273,16 @@ func strategyOf(cfg *DiscoverConfig) Strategy {
 }
 
 // discoverFor is the single entry path of the discovery engine: every public
-// entrypoint (Discover, DiscoverTargets, Maintain, the deprecated config
-// wrappers) funnels a validated configuration through here, so strategy
-// selection and substrate preparation happen in exactly one place.
-func discoverFor(ctx context.Context, rel *dataset.Relation, cfg DiscoverConfig) (*DiscoverResult, error) {
+// entrypoint (Discover, DiscoverTargets, DiscoverColumns, Maintain) funnels a
+// configuration and the run's ColumnSet through here, so strategy selection
+// and substrate preparation happen in exactly one place. rel is the relation
+// cols was built from, or nil for a column-store-backed run. The columns are
+// an argument, never a config field: strategies copy their config into runs
+// over other data (stability's bootstrap replicates), and a config-borne
+// ColumnSet would make those runs read the caller's rows.
+func discoverFor(ctx context.Context, rel *dataset.Relation, cols *dataset.ColumnSet, cfg DiscoverConfig) (*DiscoverResult, error) {
 	strat := strategyOf(&cfg)
-	sub, err := newSubstrate(rel, &cfg)
+	sub, err := newSubstrate(rel, cols, &cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestSummarize(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 17)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestCompareOnEquivalentAfterCompaction(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 18)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCompareOnEquivalentAfterCompaction(t *testing.T) {
 
 func TestCompareOnDetectsMismatch(t *testing.T) {
 	rel := piecewiseRelation(200, 0.2, 19)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"github.com/crrlab/crr/internal/dataset"
-)
+import "github.com/crrlab/crr/internal/dataset"
 
 // CRRs are integrity constraints (§II-A): a tuple covered by a rule whose
 // observed target strays beyond ρ from the (shifted) prediction violates the
@@ -29,40 +25,12 @@ type Violation struct {
 
 // Violations returns every (tuple, rule) violation in rel, ordered by tuple
 // then rule. Tuples with a null target or outside every condition violate
-// nothing. Detection runs columnar-first: the relation's ColumnSet is built
-// once and every rule condition narrows a selection vector with vectorized
-// filters (ViolationsColumns). ViolationsRows is the tuple-at-a-time
-// reference implementation producing bitwise-identical output.
+// nothing. Detection runs columnar: the relation's ColumnSet is built once
+// and every rule condition narrows a selection vector with vectorized
+// filters (ViolationsColumns). internal/verify holds the tuple-at-a-time
+// reference it must match bitwise.
 func Violations(rel *dataset.Relation, s *RuleSet) []Violation {
 	return ViolationsColumns(dataset.NewColumnSetAttrs(rel, s.neededAttrs(s.YAttr)), s)
-}
-
-// ViolationsRows is the tuple-at-a-time reference implementation of
-// Violations; the property tests assert ViolationsColumns matches it.
-func ViolationsRows(rel *dataset.Relation, s *RuleSet) []Violation {
-	var out []Violation
-	for ti, t := range rel.Tuples {
-		if t[s.YAttr].Null {
-			continue
-		}
-		for ri := range s.Rules {
-			r := &s.Rules[ri]
-			pred, ok := r.Predict(t)
-			if !ok {
-				continue
-			}
-			if dev := math.Abs(t[s.YAttr].Num - pred); dev > r.Rho+satSlack {
-				out = append(out, Violation{
-					TupleIndex: ti,
-					RuleIndex:  ri,
-					Observed:   t[s.YAttr].Num,
-					Predicted:  pred,
-					Excess:     dev - r.Rho,
-				})
-			}
-		}
-	}
-	return out
 }
 
 // Repair proposes a repaired target value for a violating tuple: the
@@ -71,25 +39,4 @@ func ViolationsRows(rel *dataset.Relation, s *RuleSet) []Violation {
 // the tuple.
 func Repair(t dataset.Tuple, s *RuleSet) (value float64, ok bool) {
 	return s.Predict(t)
-}
-
-// HoldsAll reports whether rel has no violations; it is equivalent to
-// len(Violations(rel, s)) == 0 but stops at the first hit.
-func HoldsAll(rel *dataset.Relation, s *RuleSet) bool {
-	for _, t := range rel.Tuples {
-		if t[s.YAttr].Null {
-			continue
-		}
-		for ri := range s.Rules {
-			r := &s.Rules[ri]
-			pred, ok := r.Predict(t)
-			if !ok {
-				continue
-			}
-			if math.Abs(t[s.YAttr].Num-pred) > r.Rho+satSlack {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -43,11 +44,11 @@ func TestHoldsAll(t *testing.T) {
 	rs := violationRuleSet()
 	rel := dataset.NewRelation(lineSchema())
 	rel.MustAppend(lineTuple(1, 2.1, "a"))
-	if !HoldsAll(rel, rs) {
+	if !rs.Holds(rel) {
 		t.Error("clean relation reported violating")
 	}
 	rel.MustAppend(lineTuple(1, 5, "a"))
-	if HoldsAll(rel, rs) {
+	if rs.Holds(rel) {
 		t.Error("violating relation reported clean")
 	}
 }
@@ -66,15 +67,15 @@ func TestRepair(t *testing.T) {
 
 func TestViolationsAgreeWithHolds(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 5)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vs := Violations(rel, res.Rules); len(vs) != 0 {
 		t.Errorf("discovery output violates its own training data: %d violations", len(vs))
 	}
-	if !HoldsAll(rel, res.Rules) {
-		t.Error("HoldsAll disagrees with Violations")
+	if !res.Rules.Holds(rel) {
+		t.Error("Holds disagrees with Violations")
 	}
 	// Break one tuple and confirm both detectors agree.
 	broken := rel.Tuples[10].Clone()
@@ -84,8 +85,8 @@ func TestViolationsAgreeWithHolds(t *testing.T) {
 	if len(vs) == 0 {
 		t.Fatal("doctored tuple not detected")
 	}
-	if HoldsAll(rel, res.Rules) {
-		t.Error("HoldsAll missed the doctored tuple")
+	if res.Rules.Holds(rel) {
+		t.Error("Holds missed the doctored tuple")
 	}
 	if vs[0].TupleIndex != 10 {
 		t.Errorf("violation at tuple %d, want 10", vs[0].TupleIndex)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ func TestMergeWindowsEndToEnd(t *testing.T) {
 	// Quickstart scenario: after compaction + window merging with tol ρ_M/10
 	// the two-slope dataset collapses to the ideal two-window-per-rule form.
 	rel := piecewiseRelation(900, 0.1, 23)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

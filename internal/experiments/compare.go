@@ -15,16 +15,13 @@ import (
 
 // CompareRow is one before/after measurement of the discovery hot path on a
 // dataset: the same sequential mine run with the sufficient-statistics fast
-// path (the default), with it disabled via regress.FullPass, and with the
-// columnar scan engine swapped for the tuple-at-a-time reference path
-// (DiscoverConfig.RowScan).
+// path (the default) and with it disabled via regress.FullPass.
 type CompareRow struct {
 	Dataset string
 	Rows    int
 	// FastWall/FullWall are the discovery wall times with and without the
-	// fast path; RowWall is the fast path re-run on the tuple-at-a-time
-	// reference scan instead of the columnar engine.
-	FastWall, FullWall, RowWall time.Duration
+	// fast path.
+	FastWall, FullWall time.Duration
 	// Trained is the number of Line-13 fits (identical in both runs when
 	// Identical holds); StatReuse counts how many of the fast run's fits the
 	// Gram path served.
@@ -38,10 +35,6 @@ type CompareRow struct {
 	// contract.
 	RuleCount int
 	Identical bool
-	// Bitwise reports that the columnar engine and the row-scan reference
-	// produced byte-identical rule sets (weights compared with tol 0) — the
-	// columnar execution core's parity contract.
-	Bitwise bool
 }
 
 // hotPathSpecs are the five synthetic evaluation datasets the comparison
@@ -96,32 +89,17 @@ func HotPathCompare(ctx context.Context, scale float64) ([]CompareRow, error) {
 			return nil, fmt.Errorf("compare %s (full): %w", spec.Name, err)
 		}
 
-		// Third run: the fast trainer again, but on the tuple-at-a-time
-		// reference scan. The columnar engine must be bitwise-identical to it
-		// (tol 0), not just structurally equal.
-		cfg.Trainer = regress.LinearTrainer{}
-		cfg.RowScan = true
-		var rowscan *core.DiscoverResult
-		rowWall := eval.Timed(func() {
-			rowscan, err = core.Discover(ctx, rel, core.WithConfig(cfg))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("compare %s (rowscan): %w", spec.Name, err)
-		}
-
 		snap := fastReg.Snapshot()
 		rows = append(rows, CompareRow{
 			Dataset:   spec.Name,
 			Rows:      rel.Len(),
 			FastWall:  fastWall,
 			FullWall:  fullWall,
-			RowWall:   rowWall,
 			Trained:   fast.Stats.ModelsTrained,
 			StatReuse: snap.Counters[telemetry.MetricStatReuse],
 			ScanWidth: snap.Distributions[telemetry.MetricShareScanWidth].Mean(),
 			RuleCount: fast.Rules.NumRules(),
 			Identical: SameRules(fast.Rules, full.Rules, 1e-9),
-			Bitwise:   SameRules(fast.Rules, rowscan.Rules, 0),
 		})
 	}
 	return rows, nil
@@ -153,15 +131,15 @@ func SameRules(a, b *core.RuleSet, tol float64) bool {
 // RenderCompareRows writes the comparison as an aligned table with a
 // speedup column, the output of crrbench -exp compare.
 func RenderCompareRows(w io.Writer, rows []CompareRow) error {
-	t := eval.NewTable("[compare] discovery hot path: sufficient statistics vs full pass vs row scan",
-		"dataset", "rows", "fast", "full-pass", "row-scan", "speedup", "trained", "stat-reuse", "scan-width", "#rules", "identical", "bitwise")
+	t := eval.NewTable("[compare] discovery hot path: sufficient statistics vs full pass",
+		"dataset", "rows", "fast", "full-pass", "speedup", "trained", "stat-reuse", "scan-width", "#rules", "identical")
 	for _, r := range rows {
 		speedup := "n/a"
 		if r.FastWall > 0 {
 			speedup = fmt.Sprintf("%.2fx", float64(r.FullWall)/float64(r.FastWall))
 		}
-		t.AddRowf(r.Dataset, r.Rows, r.FastWall, r.FullWall, r.RowWall, speedup,
-			r.Trained, r.StatReuse, fmt.Sprintf("%.1f", r.ScanWidth), r.RuleCount, r.Identical, r.Bitwise)
+		t.AddRowf(r.Dataset, r.Rows, r.FastWall, r.FullWall, speedup,
+			r.Trained, r.StatReuse, fmt.Sprintf("%.1f", r.ScanWidth), r.RuleCount, r.Identical)
 	}
 	return t.Render(w)
 }
@@ -187,17 +165,9 @@ func CompareHotPath(ctx context.Context, scale float64) ([]Row, error) {
 				Experiment: "compare", Dataset: c.Dataset, Method: "CRR-fullpass",
 				Param: "rows", Value: float64(c.Rows),
 				Learn: c.FullWall, Rules: c.RuleCount, Trained: c.Trained,
-			},
-			Row{
-				Experiment: "compare", Dataset: c.Dataset, Method: "CRR-rowscan",
-				Param: "rows", Value: float64(c.Rows),
-				Learn: c.RowWall, Rules: c.RuleCount, Trained: c.Trained,
 			})
 		if !c.Identical {
 			return nil, fmt.Errorf("compare %s: fast and full-pass output diverged", c.Dataset)
-		}
-		if !c.Bitwise {
-			return nil, fmt.Errorf("compare %s: columnar and row-scan output not bitwise-identical", c.Dataset)
 		}
 	}
 	return rows, nil

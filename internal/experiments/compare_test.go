@@ -24,9 +24,6 @@ func TestHotPathCompareIdentical(t *testing.T) {
 		if !r.Identical {
 			t.Errorf("%s: fast and full-pass output diverged", r.Dataset)
 		}
-		if !r.Bitwise {
-			t.Errorf("%s: columnar and row-scan output not bitwise-identical", r.Dataset)
-		}
 		if r.RuleCount == 0 {
 			t.Errorf("%s: no rules discovered", r.Dataset)
 		}
@@ -65,7 +62,7 @@ func TestCompareExperimentRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 15 { // five datasets × {fast, full-pass, row-scan}
-		t.Errorf("rows = %d, want 15", len(rows))
+	if len(rows) != 10 { // five datasets × {fast, full-pass}
+		t.Errorf("rows = %d, want 10", len(rows))
 	}
 }

@@ -89,8 +89,8 @@ func TestFullPipelinePerDataset(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialQuality cross-checks DiscoverParallel on two
-// dataset stand-ins.
+// TestParallelMatchesSequentialQuality cross-checks the parallel engine
+// (WithWorkers) against the sequential one on two dataset stand-ins.
 func TestParallelMatchesSequentialQuality(t *testing.T) {
 	for _, spec := range []DatasetSpec{ElectricitySpec(), TaxSpec()} {
 		rel := spec.Gen(2000)
@@ -99,11 +99,11 @@ func TestParallelMatchesSequentialQuality(t *testing.T) {
 			XAttrs: spec.XAttrs, YAttr: spec.YAttr, RhoM: spec.RhoM,
 			Preds: preds, Trainer: regress.LinearTrainer{},
 		}
-		seq, err := core.DiscoverWithConfig(rel, cfg)
+		seq, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.DiscoverParallel(rel, cfg, 4)
+		par, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), core.WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestMaintainOnGrowingBirdMap(t *testing.T) {
 		XAttrs: spec.XAttrs, YAttr: spec.YAttr, RhoM: spec.RhoM,
 		Preds: preds, Trainer: regress.LinearTrainer{},
 	}
-	res, err := core.DiscoverWithConfig(train, cfg)
+	res, err := core.Discover(context.Background(), train, core.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestMaintainOnGrowingBirdMap(t *testing.T) {
 	}
 	if st.Conflicts > 0 {
 		// The escape hatch must work: re-discovery over the full track.
-		res2, err := core.DiscoverWithConfig(full, cfg)
+		res2, err := core.Discover(context.Background(), full, core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

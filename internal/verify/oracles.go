@@ -10,36 +10,26 @@ import (
 	"github.com/crrlab/crr/internal/dataset"
 )
 
-// Cross-engine oracles: the discovery matrix over the four engine modes and
-// the row-vs-columnar parity checks of every classification surface.
+// Cross-engine oracles: the discovery matrix over the sequential and
+// parallel engines, the kernel oracle, and the row-vs-columnar parity checks
+// of every classification surface.
 
-// discoveryMatrix mines the target in all four engine modes and checks the
-// engines against each other:
-//
-//   - seq-col vs seq-row must be bitwise identical (the columnar engine's
-//     parity contract).
-//   - The parallel modes are deterministic only as a coverage (model
-//     sharing depends on pop order), so they are checked semantically:
-//     every trainable row covered, every rule satisfied by the data.
-//
-// The sequential columnar result — the canonical engine — is returned for
-// the downstream oracles.
+// discoveryMatrix mines the target with the sequential and the parallel
+// engine and checks both semantically — every trainable row covered, every
+// rule satisfied by the data; the parallel engine is deterministic only as
+// a coverage (model sharing depends on pop order). The kernel oracle checks
+// the scan kernels both engines share against tuple-at-a-time references.
+// The sequential result — the canonical engine — is returned for the
+// downstream oracles.
 func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet, error) {
 	type mode struct {
 		name    string
-		rowScan bool
 		workers int
 	}
-	modes := []mode{
-		{"seq-col", false, 1},
-		{"seq-row", true, 1},
-		{"par-col", false, rn.opts.Workers},
-		{"par-row", true, rn.opts.Workers},
-	}
+	modes := []mode{{"seq", 1}, {"par", rn.opts.Workers}}
 	results := make(map[string]*core.RuleSet, len(modes))
 	for _, m := range modes {
 		cfg := baseConfig(t, t.Rel, rn.opts.PredSize)
-		cfg.RowScan = m.rowScan
 		cfg.Workers = m.workers
 		res, err := core.Discover(ctx, t.Rel, core.WithConfig(cfg))
 		if err != nil {
@@ -48,7 +38,11 @@ func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet,
 		results[m.name] = res.Rules
 	}
 
-	rn.check("discover/seq-bitwise", diffRuleSets(results["seq-col"], results["seq-row"]))
+	detail, err := KernelsVsTuples(ctx, t.Rel, baseConfig(t, t.Rel, rn.opts.PredSize))
+	if err != nil {
+		return nil, fmt.Errorf("kernel oracle: %w", err)
+	}
+	rn.check("discover/kernels-vs-tuples", detail)
 
 	trainable := trainableRows(t.Rel, t.XAttrs, t.YAttr)
 	for _, m := range modes {
@@ -71,7 +65,7 @@ func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet,
 		}
 		rn.check("discover/holds/"+m.name, detail)
 	}
-	return results["seq-col"], nil
+	return results["seq"], nil
 }
 
 // diffRuleSets structurally and bitwise compares two rule sets, returning ""
@@ -148,7 +142,7 @@ func (rn *runner) classificationOracles(t Target, rules *core.RuleSet, label str
 
 	// Violations: columnar vs tuple-at-a-time reference, exact.
 	rn.check("violations/columns-vs-rows/"+label,
-		diffViolations(core.Violations(rel, rules), core.ViolationsRows(rel, rules)))
+		diffViolations(core.Violations(rel, rules), ViolationsRows(rel, rules)))
 
 	// Explain: columnar view vs per-tuple reference.
 	rn.check("explain/view-vs-row/"+label, diffExplain(rel, rules))

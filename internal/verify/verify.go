@@ -1,14 +1,17 @@
 // Package verify is the differential-testing and invariant-checking
 // subsystem of the CRR engine. The repo carries several independent
-// execution paths that must agree — sequential vs parallel discovery,
-// columnar vs tuple-at-a-time scans, the interval-indexed Predict vs a
-// linear rule scan, in-process classification vs the served HTTP endpoints,
-// and the codec round-trip — plus a compaction pass whose contract is "every
-// rewrite is a sound inference". This package checks all of it mechanically:
+// execution paths that must agree — sequential vs parallel discovery, the
+// columnar scan kernels vs tuple-at-a-time references, the interval-indexed
+// Predict vs a linear rule scan, in-process classification vs the served
+// HTTP endpoints, and the codec round-trip — plus a compaction pass whose
+// contract is "every rewrite is a sound inference". This package checks all
+// of it mechanically, and holds the tuple-at-a-time references the
+// production paths no longer carry:
 //
-//   - Cross-engine oracles: discovery in all four engine modes
-//     (sequential/parallel × columnar/row-scan) with bitwise diffing where
-//     determinism is contractual, Predict/PredictBatch/Violations/Explain
+//   - Cross-engine oracles: sequential and parallel discovery checked for
+//     coverage and rule validity, the discovery kernels checked bitwise
+//     against tuple references along the best-split tree
+//     (KernelsVsTuples), Predict/PredictBatch/Violations/Explain
 //     columnar-vs-rowwise, and served endpoints vs in-process results.
 //   - Inference soundness: every CompactStats application (Translation,
 //     Fusion, Implied drop) is captured through CompactOptions.Trace and
@@ -85,8 +88,8 @@ type Options struct {
 // Divergence is one failed oracle check.
 type Divergence struct {
 	Dataset string `json:"dataset"`
-	// Oracle names the check that failed, e.g. "discover/seq-bitwise" or
-	// "metamorphic/permutation".
+	// Oracle names the check that failed, e.g. "discover/kernels-vs-tuples"
+	// or "metamorphic/permutation".
 	Oracle string `json:"oracle"`
 	// Detail describes the first observed disagreement.
 	Detail string `json:"detail"`
@@ -200,7 +203,7 @@ func (rn *runner) runTarget(ctx context.Context, t Target) (*DatasetReport, erro
 	rn.target = t
 	rn.cur = &DatasetReport{Dataset: t.Name, Rows: t.Rel.Len()}
 
-	rn.logf("[%s] discovery matrix (4 engine modes)", t.Name)
+	rn.logf("[%s] discovery matrix (seq + par engines, kernel oracle)", t.Name)
 	rules, err := rn.discoveryMatrix(ctx, t)
 	if err != nil {
 		return nil, err

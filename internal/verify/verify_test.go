@@ -2,12 +2,14 @@ package verify
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/experiments"
+	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
@@ -132,5 +134,61 @@ func TestDriftBoundScalesWithDomain(t *testing.T) {
 	}
 	if b := driftBound(0.01, 201); b < 2*0.01*201 {
 		t.Fatalf("driftBound %g below 2·tol·scale", b)
+	}
+}
+
+// kernelFixture is a ten-row x → y relation with y = x².
+func kernelFixture() *dataset.Relation {
+	rel := dataset.NewRelation(dataset.MustSchema(
+		dataset.Attribute{Name: "x", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "y", Kind: dataset.Numeric},
+	))
+	for i := 0; i < 10; i++ {
+		rel.MustAppend(dataset.Tuple{dataset.Num(float64(i)), dataset.Num(float64(i * i))})
+	}
+	return rel
+}
+
+// TestKernelOracleCatchesWrongSide: the node comparison must report a child
+// missing its last row and an SSE one ulp off, naming the node and the
+// predicate.
+func TestKernelOracleCatchesWrongSide(t *testing.T) {
+	rel := kernelFixture()
+	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	le := predicate.NumPred(0, predicate.Le, 4.5)
+	gt := predicate.NumPred(0, predicate.Gt, 4.5)
+	sse := tupleSSE(rel, rows, 1)
+	good := [][]core.SplitChild{{{Pred: le, Rows: rows[:5]}, {Pred: gt, Rows: rows[5:]}}}
+	if d := checkNode(rel, 1, 3, "⊤", rows, sse, good); d != "" {
+		t.Fatalf("agreeing node reported: %s", d)
+	}
+
+	dropped := [][]core.SplitChild{{{Pred: le, Rows: rows[:4]}, {Pred: gt, Rows: rows[5:]}}}
+	d := checkNode(rel, 1, 3, "⊤", rows, sse, dropped)
+	if !strings.Contains(d, "node 3") || !strings.Contains(d, le.String()) {
+		t.Fatalf("dropped row not reported with node and predicate: %q", d)
+	}
+
+	cond := "⊤ ∧ " + gt.String()
+	d = checkNode(rel, 1, 7, cond, rows, math.Nextafter(sse, math.Inf(1)), nil)
+	if !strings.Contains(d, "node 7") || !strings.Contains(d, gt.String()) || !strings.Contains(d, "SSE") {
+		t.Fatalf("SSE one ulp off not reported with node and predicate: %q", d)
+	}
+}
+
+// TestKernelOracleCatchesLaneDrift: a walk whose tuple reference disagrees
+// with the columns discovery reads must report the lane.
+func TestKernelOracleCatchesLaneDrift(t *testing.T) {
+	rel := kernelFixture()
+	drift := rel.Clone()
+	drift.Tuples[6] = dataset.Tuple{dataset.Num(6), dataset.Num(math.Nextafter(36, 0))}
+	k := &kernelWalk{rel: drift}
+	preds := predicate.Generate(rel, []int{0}, predicate.GeneratorConfig{Kind: predicate.Binary})
+	if _, err := core.Discover(context.Background(), rel, core.WithSignature([]int{0}, 1),
+		core.WithPredicates(preds), core.WithStrategy(k)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(k.detail, "attr 1 row 6") {
+		t.Fatalf("lane drift not reported: %q", k.detail)
 	}
 }
