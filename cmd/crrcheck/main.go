@@ -165,9 +165,7 @@ func run(input, rulesIn string, repair bool, limit int, explain bool) (int, erro
 		fmt.Printf("row %d: %s=%.6g but rule %d predicts %.6g (excess %.4g beyond ρ)",
 			v.TupleIndex+1, yName, v.Observed, v.RuleIndex+1, v.Predicted, v.Excess)
 		if repair {
-			if val, ok := core.Repair(rel.Tuples[v.TupleIndex], rules); ok {
-				fmt.Printf("  → repair: %.6g", val)
-			}
+			fmt.Printf("  → repair: %.6g", v.Repair)
 		}
 		fmt.Println()
 		if explain {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,16 +15,20 @@ import (
 	"github.com/crrlab/crr/internal/regress"
 )
 
-// writeTaxArtifact discovers a small rule set over a Tax sample and writes
-// it as the JSON artifact crrstream maintains.
-func writeTaxArtifact(t *testing.T, dir string) (string, *dataset.Relation) {
+// writeTaxArtifact discovers a small rule set (Tax ~ Salary under
+// conditions on condNames) over a Tax sample of the given size and writes it
+// as the JSON artifact crrstream maintains.
+func writeTaxArtifact(t *testing.T, dir string, rows int, condNames ...string) (string, *dataset.Relation) {
 	t.Helper()
 	cfg := dataset.DefaultTaxConfig()
-	cfg.Rows = 400
+	cfg.Rows = rows
 	rel := dataset.GenerateTax(cfg)
 	xattrs := []int{mustIndex(t, rel.Schema, "Salary")}
 	yattr := mustIndex(t, rel.Schema, "Tax")
-	cond := []int{mustIndex(t, rel.Schema, "State"), mustIndex(t, rel.Schema, "MaritalStatus")}
+	var cond []int
+	for _, name := range condNames {
+		cond = append(cond, mustIndex(t, rel.Schema, name))
+	}
 	preds := predicate.Generate(rel, cond, predicate.GeneratorConfig{Kind: predicate.Binary, Size: 32})
 	res, err := core.Discover(context.Background(), rel, core.WithConfig(core.DiscoverConfig{
 		XAttrs: xattrs, YAttr: yattr, RhoM: 60, Preds: preds, Trainer: regress.LinearTrainer{},
@@ -55,7 +60,7 @@ func mustIndex(t *testing.T, s *dataset.Schema, name string) int {
 // TestRunStreamEndToEnd: a well-formed feed replays against the artifact.
 func TestRunStreamEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	rulesPath, rel := writeTaxArtifact(t, dir)
+	rulesPath, rel := writeTaxArtifact(t, dir, 400, "State", "MaritalStatus")
 	feed := filepath.Join(dir, "feed.csv")
 	f, err := os.Create(feed)
 	if err != nil {
@@ -78,7 +83,7 @@ func TestRunStreamEndToEnd(t *testing.T) {
 // main prints before exit 1 — never a panic or stack trace.
 func TestRunStreamCorruptCSVDiagnostic(t *testing.T) {
 	dir := t.TempDir()
-	rulesPath, _ := writeTaxArtifact(t, dir)
+	rulesPath, _ := writeTaxArtifact(t, dir, 400, "State", "MaritalStatus")
 	cases := map[string]string{
 		"ragged":          "Salary,Tax\n100,5\n200\n",
 		"truncated quote": "Salary,Tax\n\"unterminated,5\n",
@@ -96,5 +101,35 @@ func TestRunStreamCorruptCSVDiagnostic(t *testing.T) {
 		if !errors.Is(err, dataset.ErrMalformedCSV) {
 			t.Errorf("%s: err = %v, want ErrMalformedCSV", name, err)
 		}
+	}
+}
+
+// TestRunStreamNaNCell: ReadCSV reads the cell "NaN" as a number. A NaN in
+// the first X attribute, which every Salary-window rule bounds, fails every
+// bound, so the row must route to no rule instead of crashing the
+// maintainer's rule lookup.
+func TestRunStreamNaNCell(t *testing.T) {
+	dir := t.TempDir()
+	rulesPath, rel := writeTaxArtifact(t, dir, 2000, "Salary")
+	salary := mustIndex(t, rel.Schema, "Salary")
+	tp := rel.Tuples[100].Clone()
+	tp[salary] = dataset.Num(math.NaN())
+	rel.Tuples[100] = tp
+	feed := filepath.Join(dir, "nan.csv")
+	f, err := os.Create(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(f, rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), &buf, runConfig{
+		input: feed, rulesPath: rulesPath, window: 1024, rhoM: 60,
+	}); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

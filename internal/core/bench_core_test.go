@@ -2,13 +2,16 @@ package core
 
 // Micro-benchmarks for the core machinery, complementing the paper-artifact
 // benchmarks at the repository root: discovery (sequential vs parallel),
-// compaction, and indexed prediction against the linear-scan reference.
+// compaction, indexed prediction against the linear-scan reference, and
+// columnar classification at the serving batch size.
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 )
 
@@ -117,5 +120,93 @@ func BenchmarkPrune(b *testing.B) {
 		if _, _, err := Prune(rel, res.Rules, PruneOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// classifySet is one input of the 64k classification benchmarks: a
+// compacted rule set and a 65,536-row batch of fresh rows from the
+// generator it was mined on.
+type classifySet struct {
+	name  string
+	rules *RuleSet
+	cs    *dataset.ColumnSet
+}
+
+var (
+	predictSink      []float64
+	violationsSink   []Violation
+	classifySetsOnce sync.Once
+	classifySetsVal  []classifySet
+	classifySetsErr  error
+)
+
+// classifySets mines the two rule sets once per process, each over the
+// value range its batch draws from: Tax ~ Salary under State and
+// MaritalStatus conditions at a bias bound just above the generator's noise
+// (the refresh-classify-64k artifact: 4 rules over 24 categorical cells),
+// and GlobalActivePower ~ Time under time windows (30 rules). Both batches
+// are fresh draws, so a few dozen rows violate by noise alone.
+func classifySets(b *testing.B) []classifySet {
+	b.Helper()
+	classifySetsOnce.Do(func() {
+		const rows = 65536
+		tax := dataset.GenerateTax(dataset.TaxConfig{Rows: 16384, Noise: 0.5, Seed: 4})
+		elec := dataset.GenerateElectricity(dataset.ElectricityConfig{Rows: rows, Noise: 0.05, Seed: 3})
+		for _, c := range []struct {
+			name  string
+			rel   *dataset.Relation
+			conds []int
+			pcfg  predicate.GeneratorConfig
+			cfg   DiscoverConfig
+			batch *dataset.Relation
+		}{
+			{"tax", tax, []int{1, 2}, predicate.GeneratorConfig{},
+				DiscoverConfig{XAttrs: []int{0}, YAttr: 4, RhoM: 1},
+				dataset.GenerateTax(dataset.TaxConfig{Rows: rows, Noise: 0.5, Seed: 5})},
+			{"electricity", elec, []int{0}, predicate.GeneratorConfig{Kind: predicate.Binary, Size: 64},
+				DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 0.5},
+				dataset.GenerateElectricity(dataset.ElectricityConfig{Rows: rows, Noise: 0.05, Seed: 5})},
+		} {
+			cfg := c.cfg
+			cfg.Preds = predicate.Generate(c.rel, c.conds, c.pcfg)
+			cfg.Trainer = regress.LinearTrainer{}
+			res, err := Discover(context.Background(), c.rel, WithConfig(cfg))
+			if err != nil {
+				classifySetsErr = err
+				return
+			}
+			rules, _ := Compact(res.Rules)
+			classifySetsVal = append(classifySetsVal, classifySet{c.name, rules, dataset.NewColumnSet(c.batch)})
+		}
+	})
+	if classifySetsErr != nil {
+		b.Fatal(classifySetsErr)
+	}
+	return classifySetsVal
+}
+
+// BenchmarkPredictView64k: one columnar predict of a 65,536-row batch, the
+// classification layer of a /v1/predict request at the serving batch size.
+func BenchmarkPredictView64k(b *testing.B) {
+	for _, c := range classifySets(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				predictSink, _ = c.rules.PredictView(c.cs.View())
+			}
+		})
+	}
+}
+
+// BenchmarkViolationsColumns64k: one columnar check of the same batch, the
+// classification layer of a /v1/check request.
+func BenchmarkViolationsColumns64k(b *testing.B) {
+	for _, c := range classifySets(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				violationsSink = ViolationsColumns(c.cs, c.rules)
+			}
+		})
 	}
 }

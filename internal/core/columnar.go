@@ -1,37 +1,115 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
 )
 
-// Columnar rule classification: the batch counterparts of RuleSet.Predict,
-// Violations and Explain. Instead of dispatching every rule condition per
-// tuple, these keep a selection vector of still-unclassified rows and narrow
-// it with one vectorized predicate.Filter sweep per (rule, conjunction), in
-// rule order — reproducing the first-match semantics of the row path exactly.
-// The row-path implementations remain the reference; the property tests and
-// crrbench -compare assert bitwise-identical outputs.
+// Columnar rule classification: PredictView, ViolationsColumns and
+// ExplainView are thin reads of one rule-major walk (classify), which
+// narrows a selection vector with one vectorized predicate.Filter sweep per
+// (rule, conjunction) instead of dispatching every condition per tuple. The
+// tuple-at-a-time references are RuleSet.Predict and, in internal/verify,
+// ViolationsRows and ExplainRow; the property tests and crrverify hold every
+// consumer bitwise-identical to them.
 
-// selDiff removes the sorted subset sub from the sorted selection sel in one
-// merge walk, in place, and returns the shortened selection.
-func selDiff(sel, sub []int) []int {
-	if len(sub) == 0 {
-		return sel
+// classify visits the rules of s in order over the rows of sel, narrowing
+// each rule's candidates with conj.Filter one conjunction at a time: a row
+// leaves the candidates at the first conjunction it satisfies. Of those
+// rows, the ones whose X cells are all non-null reach emit once per (rule,
+// conjunction) batch, in ascending row order, with f(t.X + x) + y under that
+// conjunction's shifts. rows and preds are reused between batches, so emit
+// must neither keep nor change them.
+//
+// With firstMatch (predict), a rule's candidates are the rows no earlier
+// rule emitted, filtered in place: emitted rows leave the selection, while a
+// matched row with a null X cell stays for later rules, as in the index
+// walk. unmatched returns the rows no rule emitted. Without firstMatch
+// (violations, explain), every rule starts from all of sel, and unmatched is
+// nil.
+func (s *RuleSet) classify(cs *dataset.ColumnSet, sel []int, firstMatch bool,
+	emit func(ri, ci int, rows []int, preds []float64)) (unmatched []int) {
+	var cand, rows []int
+	var preds []float64
+	if firstMatch {
+		cand = append([]int(nil), sel...)
 	}
-	out := sel[:0]
-	j := 0
-	for _, r := range sel {
-		if j < len(sub) && sub[j] == r {
-			j++
-			continue
+	for ri := range s.Rules {
+		rule := &s.Rules[ri]
+		if !firstMatch {
+			cand = append(cand[:0], sel...)
+		} else if len(cand) == 0 {
+			break
 		}
-		out = append(out, r)
+		buf := make([]float64, 2*len(rule.XAttrs))
+		x, shift := buf[:len(rule.XAttrs)], buf[len(rule.XAttrs):]
+		for ci := range rule.Cond.Conjs {
+			if len(cand) == 0 {
+				break
+			}
+			conj := &rule.Cond.Conjs[ci]
+			s.rowsScanned.Add(int64(len(cand)))
+			rows = conj.Filter(cs, cand, rows)
+			s.filterSel.Observe(float64(len(rows)) / float64(len(cand)))
+			if len(rows) == 0 {
+				continue
+			}
+			// Every matched row leaves this rule's candidates; the rule's
+			// last conjunction needs no diff, as the next rule starts over.
+			if !firstMatch && ci < len(rule.Cond.Conjs)-1 {
+				cand = selDiff(cand, rows)
+			}
+			for i, attr := range rule.XAttrs {
+				shift[i] = conj.Builtin.Shift(attr)
+			}
+			// Narrow the matched rows in place to those with non-null X.
+			matched := rows
+			rows, preds = rows[:0], preds[:0]
+		row:
+			for _, r := range matched {
+				for i, attr := range rule.XAttrs {
+					if cs.IsNull(attr, r) {
+						continue row
+					}
+					x[i] = xValue(cs, attr, r) + shift[i]
+				}
+				rows = append(rows, r)
+				preds = append(preds, rule.Model.Predict(x)+conj.Builtin.YShift)
+			}
+			if len(rows) > 0 {
+				emit(ri, ci, rows, preds)
+			}
+			if firstMatch {
+				cand = selDiff(cand, rows)
+			}
+		}
 	}
-	return out
+	if firstMatch {
+		return cand
+	}
+	return nil
+}
+
+// selDiff removes the sorted subset sub from the sorted selection sel in
+// place and returns the shortened selection: one scan locates each row of
+// sub, and the runs between them move down with copy.
+func selDiff(sel, sub []int) []int {
+	n, i := 0, 0
+	for _, r := range sub {
+		j := i
+		for sel[j] != r {
+			j++
+		}
+		n += copy(sel[n:], sel[i:j])
+		i = j + 1
+	}
+	n += copy(sel[n:], sel[i:])
+	return sel[:n]
 }
 
 // xValue reads the raw numeric cell (attr, row), matching Tuple access:
@@ -41,6 +119,16 @@ func xValue(cs *dataset.ColumnSet, attr, row int) float64 {
 		return col[row]
 	}
 	return 0
+}
+
+// slots maps each selected row of v back to its position in v.Sel; rows are
+// dense, so a slice beats a map.
+func slots(v *dataset.View) []int {
+	slot := make([]int, v.Cols.Len())
+	for i, r := range v.Sel {
+		slot[r] = i
+	}
+	return slot
 }
 
 // PredictView classifies every selected row of v in one columnar pass,
@@ -63,74 +151,30 @@ func (s *RuleSet) PredictViewExplained(v *dataset.View) (preds []float64, covere
 }
 
 func (s *RuleSet) predictView(v *dataset.View, explain bool) (preds []float64, covered []bool, ruleIDs []int) {
-	cs := v.Cols
 	n := len(v.Sel)
-	preds = make([]float64, n)
-	covered = make([]bool, n)
+	preds, covered = make([]float64, n), make([]bool, n)
 	if explain {
 		ruleIDs = make([]int, n)
-		for i := range ruleIDs {
+	}
+	slot := slots(v)
+	unmatched := s.classify(v.Cols, v.Sel, true, func(ri, _ int, rows []int, ps []float64) {
+		for k, r := range rows {
+			i := slot[r]
+			preds[i], covered[i] = ps[k], true
+			if explain {
+				ruleIDs[i] = ri
+			}
+		}
+	})
+	for _, r := range unmatched {
+		i := slot[r]
+		preds[i] = s.Fallback
+		if explain {
 			ruleIDs[i] = -1
 		}
 	}
 	s.lookups.Add(int64(n))
-	// slot maps a row index back to its position in v.Sel; rows are dense,
-	// so a slice beats a map.
-	slot := make([]int, cs.Len())
-	for i, r := range v.Sel {
-		slot[r] = i
-	}
-	remaining := append([]int(nil), v.Sel...)
-	var matched, consumed []int
-	for ri := range s.Rules {
-		if len(remaining) == 0 {
-			break
-		}
-		rule := &s.Rules[ri]
-		x := make([]float64, len(rule.XAttrs))
-		for ci := range rule.Cond.Conjs {
-			if len(remaining) == 0 {
-				break
-			}
-			conj := rule.Cond.Conjs[ci]
-			s.rowsScanned.Add(int64(len(remaining)))
-			matched = conj.Filter(cs, remaining, matched)
-			s.filterSel.Observe(float64(len(matched)) / float64(len(remaining)))
-			if len(matched) == 0 {
-				continue
-			}
-			// A matched row with a null X cell stays unclassified: the row
-			// path's index lookup skips such entries and keeps scanning.
-			consumed = consumed[:0]
-			for _, r := range matched {
-				nullX := false
-				for _, attr := range rule.XAttrs {
-					if cs.IsNull(attr, r) {
-						nullX = true
-						break
-					}
-				}
-				if nullX {
-					continue
-				}
-				for i, attr := range rule.XAttrs {
-					x[i] = xValue(cs, attr, r) + conj.Builtin.Shift(attr)
-				}
-				i := slot[r]
-				preds[i] = rule.Model.Predict(x) + conj.Builtin.YShift
-				covered[i] = true
-				if explain {
-					ruleIDs[i] = ri
-				}
-				consumed = append(consumed, r)
-			}
-			remaining = selDiff(remaining, consumed)
-		}
-	}
-	for _, r := range remaining {
-		preds[slot[r]] = s.Fallback
-	}
-	s.misses.Add(int64(len(remaining)))
+	s.misses.Add(int64(len(unmatched)))
 	return preds, covered, ruleIDs
 }
 
@@ -177,9 +221,10 @@ func (s *RuleSet) PredictBatch(rel *dataset.Relation) (preds []float64, covered 
 
 // ViolationsColumns detects every (tuple, rule) violation against a
 // prebuilt ColumnSet, ordered by tuple then rule — bitwise-identical to the
-// tuple-at-a-time reference in internal/verify. Per rule, the first satisfied conjunction binds the
-// built-in shifts (CRR.Predict semantics), so matched rows leave the rule's
-// candidate selection whether or not their X cells are null.
+// tuple-at-a-time reference in internal/verify. Each rule checks every row
+// with a non-null target; the first satisfied conjunction binds the
+// built-in shifts (CRR.Predict semantics). Each violation carries its row's
+// repair, from one first-match walk over the distinct violating rows.
 func ViolationsColumns(cs *dataset.ColumnSet, s *RuleSet) []Violation {
 	ycol := cs.Float(s.YAttr)
 	base := make([]int, 0, cs.Len())
@@ -189,124 +234,79 @@ func ViolationsColumns(cs *dataset.ColumnSet, s *RuleSet) []Violation {
 		}
 	}
 	var out []Violation
-	var remaining, matched []int
-	for ri := range s.Rules {
-		rule := &s.Rules[ri]
-		x := make([]float64, len(rule.XAttrs))
-		remaining = append(remaining[:0], base...)
-		for ci := range rule.Cond.Conjs {
-			if len(remaining) == 0 {
-				break
+	s.classify(cs, base, false, func(ri, _ int, rows []int, preds []float64) {
+		rho := s.Rules[ri].Rho
+		for k, r := range rows {
+			if dev := math.Abs(ycol[r] - preds[k]); dev > rho+satSlack {
+				out = append(out, Violation{
+					TupleIndex: r,
+					RuleIndex:  ri,
+					Observed:   ycol[r],
+					Predicted:  preds[k],
+					Excess:     dev - rho,
+				})
 			}
-			conj := rule.Cond.Conjs[ci]
-			matched = conj.Filter(cs, remaining, matched)
-			if len(matched) == 0 {
-				continue
-			}
-			for _, r := range matched {
-				nullX := false
-				for _, attr := range rule.XAttrs {
-					if cs.IsNull(attr, r) {
-						nullX = true
-						break
-					}
-				}
-				if nullX {
-					continue
-				}
-				for i, attr := range rule.XAttrs {
-					x[i] = xValue(cs, attr, r) + conj.Builtin.Shift(attr)
-				}
-				pred := rule.Model.Predict(x) + conj.Builtin.YShift
-				if dev := math.Abs(ycol[r] - pred); dev > rule.Rho+satSlack {
-					out = append(out, Violation{
-						TupleIndex: r,
-						RuleIndex:  ri,
-						Observed:   ycol[r],
-						Predicted:  pred,
-						Excess:     dev - rule.Rho,
-					})
-				}
-			}
-			remaining = selDiff(remaining, matched)
+		}
+	})
+	if len(out) == 0 {
+		return nil
+	}
+	// The rule-major walk found violations grouped by rule; the contract
+	// (and the row reference) orders them by tuple then rule.
+	slices.SortFunc(out, func(a, b Violation) int {
+		return cmp.Or(cmp.Compare(a.TupleIndex, b.TupleIndex), cmp.Compare(a.RuleIndex, b.RuleIndex))
+	})
+	var rows []int
+	for _, v := range out {
+		if len(rows) == 0 || rows[len(rows)-1] != v.TupleIndex {
+			rows = append(rows, v.TupleIndex)
 		}
 	}
-	// The rule-major sweep found violations grouped by rule; the contract
-	// (and the row path) orders them by tuple then rule.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TupleIndex != out[j].TupleIndex {
-			return out[i].TupleIndex < out[j].TupleIndex
+	// The rule a row violates covers it, so the walk emits every row.
+	s.classify(cs, rows, true, func(_, _ int, rs []int, preds []float64) {
+		for k, r := range rs {
+			i := sort.Search(len(out), func(i int) bool { return out[i].TupleIndex >= r })
+			for ; i < len(out) && out[i].TupleIndex == r; i++ {
+				out[i].Repair = preds[k]
+			}
 		}
-		return out[i].RuleIndex < out[j].RuleIndex
 	})
 	return out
 }
 
 // ExplainView evaluates every rule of s against every selected row of v,
-// returning one Explanation per selected row (parallel to v.Sel). Output
-// equals calling Explain per tuple: per rule, the first satisfied
-// conjunction binds; rows with a null X cell under a matching condition
-// contribute no MatchInfo for that rule.
+// returning one Explanation per selected row (parallel to v.Sel). Per rule,
+// the first satisfied conjunction binds; rows with a null X cell under a
+// matching condition contribute no MatchInfo for that rule.
 func ExplainView(v *dataset.View, s *RuleSet) []Explanation {
 	cs := v.Cols
 	out := make([]Explanation, len(v.Sel))
 	for i := range out {
 		out[i] = Explanation{Prediction: s.Fallback}
 	}
-	slot := make([]int, cs.Len())
-	for i, r := range v.Sel {
-		slot[r] = i
-	}
-	var remaining, matched []int
-	for ri := range s.Rules {
+	slot := slots(v)
+	s.classify(cs, v.Sel, false, func(ri, ci int, rows []int, preds []float64) {
 		rule := &s.Rules[ri]
-		x := make([]float64, len(rule.XAttrs))
-		remaining = append(remaining[:0], v.Sel...)
-		for ci := range rule.Cond.Conjs {
-			if len(remaining) == 0 {
-				break
+		for k, r := range rows {
+			m := MatchInfo{
+				RuleIndex:  ri,
+				ConjIndex:  ci,
+				Builtin:    rule.Cond.Conjs[ci].Builtin,
+				Prediction: preds[k],
+				Deviation:  math.NaN(),
+				Satisfied:  true,
 			}
-			conj := rule.Cond.Conjs[ci]
-			matched = conj.Filter(cs, remaining, matched)
-			if len(matched) == 0 {
-				continue
+			if !cs.IsNull(s.YAttr, r) {
+				m.Deviation = math.Abs(xValue(cs, s.YAttr, r) - preds[k])
+				m.Satisfied = m.Deviation <= rule.Rho+satSlack
 			}
-			for _, r := range matched {
-				nullX := false
-				for _, attr := range rule.XAttrs {
-					if cs.IsNull(attr, r) {
-						nullX = true
-						break
-					}
-				}
-				if nullX {
-					continue
-				}
-				for i, attr := range rule.XAttrs {
-					x[i] = xValue(cs, attr, r) + conj.Builtin.Shift(attr)
-				}
-				pred := rule.Model.Predict(x) + conj.Builtin.YShift
-				m := MatchInfo{
-					RuleIndex:  ri,
-					ConjIndex:  ci,
-					Builtin:    conj.Builtin,
-					Prediction: pred,
-					Deviation:  math.NaN(),
-					Satisfied:  true,
-				}
-				if !cs.IsNull(s.YAttr, r) {
-					m.Deviation = math.Abs(xValue(cs, s.YAttr, r) - pred)
-					m.Satisfied = m.Deviation <= rule.Rho+satSlack
-				}
-				e := &out[slot[r]]
-				if !e.Covered {
-					e.Covered = true
-					e.Prediction = pred
-				}
-				e.Matches = append(e.Matches, m)
+			e := &out[slot[r]]
+			if !e.Covered {
+				e.Covered = true
+				e.Prediction = preds[k]
 			}
-			remaining = selDiff(remaining, matched)
+			e.Matches = append(e.Matches, m)
 		}
-	}
+	})
 	return out
 }

@@ -18,8 +18,9 @@ import (
 // across all five synthetic generators with randomized predicate sets and
 // injected nulls: vectorized Conjunction/DNF filters must equal Sat row
 // scans, ViolationsColumns must equal verify.ViolationsRows, PredictBatch
-// must equal per-tuple Predict, and ExplainView must equal per-tuple
-// Explain.
+// must equal per-tuple Predict, and ExplainView must equal
+// verify.ExplainRow — all bitwise, over relations with NaN and ±Inf cells
+// too.
 
 func propertySpecs() []experiments.DatasetSpec {
 	return []experiments.DatasetSpec{
@@ -42,6 +43,31 @@ func maskedRelation(spec experiments.DatasetSpec, n int, rng *rand.Rand) *datase
 	}
 	return rel
 }
+
+// checkedRelation is maskedRelation plus non-finite cells: every fifth row
+// gets NaN, +Inf or −Inf in one numeric X, condition or target attribute,
+// so the classification parity checks cross non-finite values as well as
+// nulls (ReadCSV and the binary wire format both carry them).
+func checkedRelation(spec experiments.DatasetSpec, n int, rng *rand.Rand) *dataset.Relation {
+	rel := maskedRelation(spec, n, rng)
+	var attrs []int
+	for _, a := range append(append([]int{spec.YAttr}, spec.XAttrs...), spec.CondAttrs...) {
+		if rel.Schema.Attr(a).Kind == dataset.Numeric {
+			attrs = append(attrs, a)
+		}
+	}
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i := 2; i < rel.Len(); i += 5 {
+		k := i / 5
+		tp := rel.Tuples[i].Clone()
+		tp[attrs[k%len(attrs)]] = dataset.Num(vals[k/len(attrs)%len(vals)])
+		rel.Tuples[i] = tp
+	}
+	return rel
+}
+
+// sameBits compares two floats bitwise, so NaN matches the same NaN.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // randConjunction draws up to three predicates from the generated space.
 func randConjunction(preds []predicate.Predicate, rng *rand.Rand) predicate.Conjunction {
@@ -144,7 +170,7 @@ func TestViolationsColumnarParity(t *testing.T) {
 			train := spec.Gen(500)
 			rules := discoverRules(t, spec, train)
 			// Check a shifted, masked slice so violations actually occur.
-			check := maskedRelation(spec, 400, rng)
+			check := checkedRelation(spec, 400, rng)
 			for i, tp := range check.Tuples {
 				if i%7 == 0 && !tp[spec.YAttr].Null {
 					nt := tp.Clone()
@@ -158,8 +184,11 @@ func TestViolationsColumnarParity(t *testing.T) {
 				t.Fatalf("violations: columnar %d, rows %d", len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("violation %d: columnar %+v, rows %+v", i, got[i], want[i])
+				g, w := got[i], want[i]
+				if g.TupleIndex != w.TupleIndex || g.RuleIndex != w.RuleIndex ||
+					!sameBits(g.Observed, w.Observed) || !sameBits(g.Predicted, w.Predicted) ||
+					!sameBits(g.Excess, w.Excess) || !sameBits(g.Repair, w.Repair) {
+					t.Fatalf("violation %d: columnar %+v, rows %+v", i, g, w)
 				}
 			}
 			if len(want) == 0 {
@@ -178,11 +207,11 @@ func TestPredictBatchParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			train := spec.Gen(500)
 			rules := discoverRules(t, spec, train)
-			check := maskedRelation(spec, 400, rng)
+			check := checkedRelation(spec, 400, rng)
 			preds, covered := rules.PredictBatch(check)
 			for i, tp := range check.Tuples {
 				v, ok := rules.Predict(tp)
-				if covered[i] != ok || preds[i] != v {
+				if covered[i] != ok || !sameBits(preds[i], v) {
 					t.Fatalf("tuple %d: batch (%v, %v), row (%v, %v)", i, preds[i], covered[i], v, ok)
 				}
 			}
@@ -190,7 +219,8 @@ func TestPredictBatchParity(t *testing.T) {
 	}
 }
 
-// TestExplainViewParity: ExplainView must equal per-tuple Explain.
+// TestExplainViewParity: ExplainView must equal per-tuple
+// verify.ExplainRow.
 func TestExplainViewParity(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
@@ -198,19 +228,19 @@ func TestExplainViewParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(37))
 			train := spec.Gen(500)
 			rules := discoverRules(t, spec, train)
-			check := maskedRelation(spec, 200, rng)
+			check := checkedRelation(spec, 200, rng)
 			got := core.ExplainView(dataset.NewColumnSet(check).View(), rules)
 			for i, tp := range check.Tuples {
-				want := core.Explain(rules, tp)
+				want := verify.ExplainRow(rules, tp)
 				g := got[i]
-				if g.Covered != want.Covered || g.Prediction != want.Prediction || len(g.Matches) != len(want.Matches) {
+				if g.Covered != want.Covered || !sameBits(g.Prediction, want.Prediction) || len(g.Matches) != len(want.Matches) {
 					t.Fatalf("tuple %d: view %+v, row %+v", i, g, want)
 				}
 				for j := range want.Matches {
 					a, b := g.Matches[j], want.Matches[j]
-					sameDev := a.Deviation == b.Deviation || (math.IsNaN(a.Deviation) && math.IsNaN(b.Deviation))
 					if a.RuleIndex != b.RuleIndex || a.ConjIndex != b.ConjIndex ||
-						a.Prediction != b.Prediction || !sameDev || a.Satisfied != b.Satisfied {
+						!sameBits(a.Prediction, b.Prediction) || !sameBits(a.Deviation, b.Deviation) ||
+						a.Satisfied != b.Satisfied || !a.Builtin.Equal(b.Builtin) {
 						t.Fatalf("tuple %d match %d: view %+v, row %+v", i, j, a, b)
 					}
 				}

@@ -10,6 +10,10 @@ type CoveringEntry struct {
 	Rule, Conj int
 }
 
+func (a CoveringEntry) less(b CoveringEntry) bool {
+	return a.Rule < b.Rule || (a.Rule == b.Rule && a.Conj < b.Conj)
+}
+
 // Covering returns every rule covering t — the row-routing primitive of
 // stream maintenance, which must credit an arriving or expiring row to the
 // sufficient statistics of ALL rules whose condition selects it, not just
@@ -18,54 +22,12 @@ type CoveringEntry struct {
 // Predict's semantics). Tuples with a null X cell are covered by no rule,
 // mirroring the Predict null contract.
 //
-// The walk reuses the lazily built interval index: candidates are the
-// tuple's grid bucket merged with the unbounded-conjunction overflow list,
-// so for discovery's disjoint condition windows the cost is O(1) candidates
-// plus the overflow, not a scan of every disjunct. dst is recycled when
-// non-nil, so steady-state routing does not allocate.
+// Covering and Predict share one walk over the lazily built interval index:
+// candidates are the tuple's grid bucket merged with the
+// unbounded-conjunction overflow list, so for discovery's disjoint condition
+// windows the cost is O(1) candidates plus the overflow, not a scan of every
+// disjunct. dst is recycled when non-nil, so steady-state routing does not
+// allocate.
 func (s *RuleSet) Covering(t dataset.Tuple, dst []CoveringEntry) []CoveringEntry {
-	dst = dst[:0]
-	idx := s.index()
-	var bucket []indexEntry
-	if len(idx.buckets) > 0 && idx.attr >= 0 && !t[idx.attr].Null {
-		bucket = idx.buckets[idx.bucketOf(t[idx.attr].Num)]
-	}
-	over := idx.overflow
-	i, j := 0, 0
-	lastRule := -1
-	for i < len(bucket) || j < len(over) {
-		var e indexEntry
-		if j >= len(over) || (i < len(bucket) && lessEntry(bucket[i], over[j])) {
-			e = bucket[i]
-			i++
-		} else {
-			e = over[j]
-			j++
-		}
-		// Entries stream in (rule, conj) order; once a rule matched, its
-		// later conjunctions are redundant (first-match semantics), and a
-		// span straddling several buckets appears once per bucket, so the
-		// same entry can repeat — the rule guard drops both.
-		if e.rule == lastRule {
-			continue
-		}
-		rule := &s.Rules[e.rule]
-		if !rule.Cond.Conjs[e.conj].Sat(t) {
-			continue
-		}
-		nullX := false
-		for _, attr := range rule.XAttrs {
-			if t[attr].Null {
-				nullX = true
-				break
-			}
-		}
-		if nullX {
-			lastRule = e.rule // null X disqualifies the rule, not just the conj
-			continue
-		}
-		dst = append(dst, CoveringEntry{Rule: e.rule, Conj: e.conj})
-		lastRule = e.rule
-	}
-	return dst
+	return s.index().walk(s, t, dst[:0], false)
 }

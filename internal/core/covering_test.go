@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -69,8 +70,9 @@ func TestCoveringMatchesLinearScan(t *testing.T) {
 		tp[salary] = dataset.Null()
 		check(tp)
 	}
-	// Out-of-grid numeric values exercise the clamped bucket edges.
-	for _, v := range []float64{-1e12, 1e12} {
+	// Out-of-grid and infinite values exercise the clamped bucket edges; NaN
+	// fails every bound, so like null it must pick no bucket.
+	for _, v := range []float64{-1e12, 1e12, math.Inf(-1), math.Inf(1), math.NaN()} {
 		tp := rel.Tuples[0].Clone()
 		tp[salary] = dataset.Num(v)
 		check(tp)

@@ -112,9 +112,9 @@ func attrNames(schema *dataset.Schema, idxs []int) string {
 // RuleSet is a discovered set Σ of CRRs over one (X, Y) attribute choice,
 // with a constant fallback for tuples no rule covers.
 //
-// Predict lazily builds an interval index over the conjunctions' bounds on
-// the first X attribute; concurrent Predict calls are safe, but mutating
-// Rules requires calling Invalidate before the next Predict.
+// Predict and Covering lazily build an interval index over the
+// conjunctions' bounds on the first X attribute; concurrent calls are safe,
+// but mutating Rules requires calling Invalidate before the next one.
 type RuleSet struct {
 	Schema   *dataset.Schema
 	XAttrs   []int
@@ -134,13 +134,14 @@ type RuleSet struct {
 // mutating Rules.
 func (s *RuleSet) Invalidate() { s.idx.Store(nil) }
 
-// SetTelemetry attaches a metrics registry to the prediction path: every
+// SetTelemetry attaches a metrics registry to classification: every
 // Predict increments predict.index_lookups, and lookups that fall back to
-// the training mean increment predict.index_misses. The columnar batch path
-// (PredictBatch/PredictView) reports the same two counters per row plus the
-// columnar-engine metrics columns.build_ns, filter.rows_scanned and
-// filter.selectivity. A nil registry detaches (nil handles no-op, so both
-// paths stay branch-free).
+// the training mean increment predict.index_misses. The columnar predict
+// path (PredictBatch/PredictView) reports the same two counters per row, and
+// PredictBatch its column build under columns.build_ns. The columnar walk
+// behind PredictView, ViolationsColumns and ExplainView reports
+// filter.rows_scanned and filter.selectivity for every filter sweep. A nil
+// registry detaches (nil handles no-op, so every path stays branch-free).
 func (s *RuleSet) SetTelemetry(r *telemetry.Registry) {
 	if r == nil {
 		s.lookups, s.misses = nil, nil
@@ -175,13 +176,14 @@ func (s *RuleSet) index() *ruleIndex {
 // applied. First-rule/first-conjunction semantics match a linear scan.
 func (s *RuleSet) Predict(t dataset.Tuple) (pred float64, covered bool) {
 	s.lookups.Inc()
-	e, ok := s.index().lookup(s, t)
-	if !ok {
+	var first [1]CoveringEntry
+	es := s.index().walk(s, t, first[:0], true)
+	if len(es) == 0 {
 		s.misses.Inc()
 		return s.Fallback, false
 	}
-	rule := &s.Rules[e.rule]
-	conj := rule.Cond.Conjs[e.conj]
+	rule := &s.Rules[es[0].Rule]
+	conj := rule.Cond.Conjs[es[0].Conj]
 	x := make([]float64, len(rule.XAttrs))
 	for i, attr := range rule.XAttrs {
 		x[i] = t[attr].Num + conj.Builtin.Shift(attr)
@@ -189,96 +191,66 @@ func (s *RuleSet) Predict(t dataset.Tuple) (pred float64, covered bool) {
 	return rule.Model.Predict(x) + conj.Builtin.YShift, true
 }
 
-// indexEntry addresses one conjunction of one rule.
-type indexEntry struct {
-	rule, conj int
-}
-
 // ruleIndex is a uniform-grid interval index over the conjunction bounds on
 // one numeric attribute. Conjunctions without numeric bounds on that
 // attribute live in overflow and are checked for every lookup. For the
 // disjoint condition windows discovery produces, lookups touch O(1)
-// candidates instead of scanning every disjunct.
+// candidates instead of scanning every disjunct. Every bucket and the
+// overflow list hold their entries in (rule, conj) order.
 type ruleIndex struct {
 	attr     int
 	lo, hi   float64
 	width    float64
-	buckets  [][]indexEntry
-	overflow []indexEntry
+	buckets  [][]CoveringEntry
+	overflow []CoveringEntry
 }
 
 func buildRuleIndex(s *RuleSet) *ruleIndex {
-	idx := &ruleIndex{attr: -1}
+	idx := &ruleIndex{attr: -1, lo: math.Inf(1), hi: math.Inf(-1)}
 	if len(s.XAttrs) > 0 {
 		idx.attr = s.XAttrs[0]
 	}
 	type span struct {
-		e      indexEntry
-		lo, hi float64
+		e       CoveringEntry
+		lo, hi  float64
+		bounded bool
 	}
 	var spans []span
+	bounded := 0
 	for ri := range s.Rules {
 		for ci, conj := range s.Rules[ri].Cond.Conjs {
-			e := indexEntry{ri, ci}
-			if idx.attr < 0 {
-				idx.overflow = append(idx.overflow, e)
-				continue
+			sp := span{e: CoveringEntry{Rule: ri, Conj: ci}}
+			if idx.attr >= 0 {
+				sp.lo, sp.hi, sp.bounded = conj.NumericBounds(idx.attr)
+				sp.bounded = sp.bounded && !(math.IsInf(sp.lo, -1) && math.IsInf(sp.hi, 1))
 			}
-			lo, hi, ok := conj.NumericBounds(idx.attr)
-			if !ok || (math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
-				idx.overflow = append(idx.overflow, e)
-				continue
+			if sp.bounded {
+				bounded++
+				if !math.IsInf(sp.lo, -1) && sp.lo < idx.lo {
+					idx.lo = sp.lo
+				}
+				if !math.IsInf(sp.hi, 1) && sp.hi > idx.hi {
+					idx.hi = sp.hi
+				}
 			}
-			spans = append(spans, span{e, lo, hi})
+			spans = append(spans, sp)
 		}
 	}
-	if len(spans) == 0 {
-		return idx
+	// A degenerate grid leaves every span in overflow.
+	if bounded > 0 && !math.IsInf(idx.lo, 1) && !math.IsInf(idx.hi, -1) && idx.lo < idx.hi {
+		idx.buckets = make([][]CoveringEntry, max(bounded, 16))
+		idx.width = (idx.hi - idx.lo) / float64(len(idx.buckets))
 	}
-	idx.lo, idx.hi = math.Inf(1), math.Inf(-1)
 	for _, sp := range spans {
-		if !math.IsInf(sp.lo, -1) && sp.lo < idx.lo {
-			idx.lo = sp.lo
-		}
-		if !math.IsInf(sp.hi, 1) && sp.hi > idx.hi {
-			idx.hi = sp.hi
-		}
-	}
-	if math.IsInf(idx.lo, 1) || math.IsInf(idx.hi, -1) || idx.lo >= idx.hi {
-		// Degenerate grid: every span becomes overflow.
-		for _, sp := range spans {
+		if !sp.bounded || idx.buckets == nil {
 			idx.overflow = append(idx.overflow, sp.e)
+			continue
 		}
-		sortEntries(idx.overflow)
-		return idx
-	}
-	n := len(spans)
-	if n < 16 {
-		n = 16
-	}
-	idx.buckets = make([][]indexEntry, n)
-	idx.width = (idx.hi - idx.lo) / float64(n)
-	for _, sp := range spans {
-		b0 := idx.bucketOf(sp.lo)
-		b1 := idx.bucketOf(sp.hi)
-		for b := b0; b <= b1; b++ {
+		for b := idx.bucketOf(sp.lo); b <= idx.bucketOf(sp.hi); b++ {
 			idx.buckets[b] = append(idx.buckets[b], sp.e)
 		}
 	}
-	for b := range idx.buckets {
-		sortEntries(idx.buckets[b])
-	}
-	sortEntries(idx.overflow)
 	return idx
-}
-
-func sortEntries(es []indexEntry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].rule != es[j].rule {
-			return es[i].rule < es[j].rule
-		}
-		return es[i].conj < es[j].conj
-	})
 }
 
 func (idx *ruleIndex) bucketOf(v float64) int {
@@ -295,50 +267,55 @@ func (idx *ruleIndex) bucketOf(v float64) int {
 	return b
 }
 
-// lookup returns the first-match entry for t, merging the candidate bucket
-// with the overflow list in (rule, conj) order so semantics equal a full
-// linear scan.
-func (idx *ruleIndex) lookup(s *RuleSet, t dataset.Tuple) (indexEntry, bool) {
-	var bucket []indexEntry
-	if len(idx.buckets) > 0 && idx.attr >= 0 && !t[idx.attr].Null {
-		bucket = idx.buckets[idx.bucketOf(t[idx.attr].Num)]
+// walk merges t's bucket with the overflow list in (rule, conj) order, so
+// its semantics equal a linear scan over every rule, and appends to dst each
+// covering rule's first satisfied conjunction. A rule drops out at that
+// conjunction, and a null X cell disqualifies it. With first set, the walk
+// stops at the first covering rule (Predict); otherwise it collects all of
+// them (Covering).
+func (idx *ruleIndex) walk(s *RuleSet, t dataset.Tuple, dst []CoveringEntry, first bool) []CoveringEntry {
+	var bucket []CoveringEntry
+	if idx.buckets != nil {
+		// NaN fails every numeric bound, so like null it picks no bucket.
+		if v := t[idx.attr]; !v.Null && !math.IsNaN(v.Num) {
+			bucket = idx.buckets[idx.bucketOf(v.Num)]
+		}
 	}
 	over := idx.overflow
-	match := func(e indexEntry) bool {
-		rule := &s.Rules[e.rule]
-		conj := rule.Cond.Conjs[e.conj]
-		if !conj.Sat(t) {
-			return false
+	last := -1
+	for i, j := 0, 0; i < len(bucket) || j < len(over); {
+		var e CoveringEntry
+		if j == len(over) || (i < len(bucket) && bucket[i].less(over[j])) {
+			e, i = bucket[i], i+1
+		} else {
+			e, j = over[j], j+1
 		}
-		for _, attr := range rule.XAttrs {
-			if t[attr].Null {
-				return false
+		if e.Rule == last {
+			continue
+		}
+		rule := &s.Rules[e.Rule]
+		if !rule.Cond.Conjs[e.Conj].Sat(t) {
+			continue
+		}
+		last = e.Rule
+		if !nullX(t, rule.XAttrs) {
+			dst = append(dst, e)
+			if first {
+				break
 			}
 		}
-		return true
 	}
-	i, j := 0, 0
-	for i < len(bucket) || j < len(over) {
-		var e indexEntry
-		if j >= len(over) || (i < len(bucket) && lessEntry(bucket[i], over[j])) {
-			e = bucket[i]
-			i++
-		} else {
-			e = over[j]
-			j++
-		}
-		if match(e) {
-			return e, true
-		}
-	}
-	return indexEntry{}, false
+	return dst
 }
 
-func lessEntry(a, b indexEntry) bool {
-	if a.rule != b.rule {
-		return a.rule < b.rule
+// nullX reports whether any of t's cells in xattrs is null.
+func nullX(t dataset.Tuple, xattrs []int) bool {
+	for _, attr := range xattrs {
+		if t[attr].Null {
+			return true
+		}
 	}
-	return a.conj < b.conj
+	return false
 }
 
 // Coverage returns the fraction of tuples in rel covered by some rule. It
@@ -359,16 +336,17 @@ func (s *RuleSet) Coverage(rel *dataset.Relation) float64 {
 }
 
 // RMSE evaluates the rule set's root-mean-square error on rel, skipping
-// tuples with a null target.
+// tuples with a null target. It classifies columnar-first (one PredictBatch
+// pass).
 func (s *RuleSet) RMSE(rel *dataset.Relation) float64 {
+	preds, _ := s.PredictBatch(rel)
 	var sum float64
 	n := 0
-	for _, t := range rel.Tuples {
+	for i, t := range rel.Tuples {
 		if t[s.YAttr].Null {
 			continue
 		}
-		p, _ := s.Predict(t)
-		d := t[s.YAttr].Num - p
+		d := t[s.YAttr].Num - preds[i]
 		sum += d * d
 		n++
 	}

@@ -2,17 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
-	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
 )
 
 // Explanation reports how a rule set treats one tuple: every covering rule
 // with the conjunction that matched, the builtins it applied, the prediction
 // and the margin to ρ. It is the debugging surface behind crrcheck and rule
-// inspection.
+// inspection; ExplainView computes it for every row of a batch.
 type Explanation struct {
 	// Covered reports whether any rule's condition matched.
 	Covered bool
@@ -36,49 +34,6 @@ type MatchInfo struct {
 	Deviation float64
 	// Satisfied reports Deviation ≤ ρ (true when the target is null).
 	Satisfied bool
-}
-
-// Explain evaluates every rule of s against t.
-func Explain(s *RuleSet, t dataset.Tuple) Explanation {
-	out := Explanation{Prediction: s.Fallback}
-	for ri := range s.Rules {
-		r := &s.Rules[ri]
-		conj, ok := r.Cond.MatchConjunction(t)
-		if !ok {
-			continue
-		}
-		pred, ok := r.Predict(t)
-		if !ok {
-			continue // null X cell
-		}
-		m := MatchInfo{
-			RuleIndex:  ri,
-			ConjIndex:  conjIndexOf(r, t),
-			Builtin:    conj.Builtin,
-			Prediction: pred,
-			Deviation:  math.NaN(),
-			Satisfied:  true,
-		}
-		if !t[s.YAttr].Null {
-			m.Deviation = math.Abs(t[s.YAttr].Num - pred)
-			m.Satisfied = m.Deviation <= r.Rho+satSlack
-		}
-		if !out.Covered {
-			out.Covered = true
-			out.Prediction = pred
-		}
-		out.Matches = append(out.Matches, m)
-	}
-	return out
-}
-
-func conjIndexOf(r *CRR, t dataset.Tuple) int {
-	for ci, c := range r.Cond.Conjs {
-		if c.Sat(t) {
-			return ci
-		}
-	}
-	return -1
 }
 
 // Format renders the explanation for human consumption.

@@ -26,9 +26,17 @@ func explainRuleSet() *RuleSet {
 	}
 }
 
+// explainTuple explains one tuple through ExplainView over a one-row column
+// set.
+func explainTuple(s *RuleSet, tp dataset.Tuple) Explanation {
+	rel := dataset.NewRelation(s.Schema)
+	rel.MustAppend(tp)
+	return ExplainView(dataset.NewColumnSet(rel).View(), s)[0]
+}
+
 func TestExplainCoveredTuple(t *testing.T) {
 	rs := explainRuleSet()
-	e := Explain(rs, lineTuple(6, 12.2, "a"))
+	e := explainTuple(rs, lineTuple(6, 12.2, "a"))
 	if !e.Covered {
 		t.Fatal("covered tuple reported uncovered")
 	}
@@ -54,7 +62,7 @@ func TestExplainCoveredTuple(t *testing.T) {
 
 func TestExplainUncovered(t *testing.T) {
 	rs := explainRuleSet()
-	e := Explain(rs, lineTuple(-3, 0, "a"))
+	e := explainTuple(rs, lineTuple(-3, 0, "a"))
 	if e.Covered || e.Prediction != 7 {
 		t.Errorf("uncovered explanation: %+v", e)
 	}
@@ -65,7 +73,7 @@ func TestExplainUncovered(t *testing.T) {
 
 func TestExplainNullTarget(t *testing.T) {
 	rs := explainRuleSet()
-	e := Explain(rs, dataset.Tuple{dataset.Num(2), dataset.Null(), dataset.Str("a")})
+	e := explainTuple(rs, dataset.Tuple{dataset.Num(2), dataset.Null(), dataset.Str("a")})
 	if !e.Covered || len(e.Matches) != 1 {
 		t.Fatalf("explanation: %+v", e)
 	}
@@ -80,8 +88,9 @@ func TestExplainAgreesWithPredictAndViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range rel.Tuples {
-		e := Explain(res.Rules, tp)
+	es := ExplainView(dataset.NewColumnSet(rel).View(), res.Rules)
+	for i, tp := range rel.Tuples {
+		e := es[i]
 		p, ok := res.Rules.Predict(tp)
 		if e.Covered != ok || (ok && absDiff(e.Prediction, p) > 1e-12) {
 			t.Fatalf("Explain disagrees with Predict: %v/%v vs %v/%v", e.Prediction, e.Covered, p, ok)

@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/verify"
 )
 
 // TestPredictViewExplainedParity: the explain variant must return exactly
 // the PredictView predictions (bitwise) plus, per covered row, the index of
-// the first rule Explain reports as matching — and -1 for fallback rows.
+// the first rule verify.ExplainRow reports as matching — and -1 for
+// fallback rows.
 // This is the contract /v1/predict?explain=1 exposes over the wire.
 func TestPredictViewExplainedParity(t *testing.T) {
 	for _, spec := range propertySpecs() {
@@ -20,7 +21,7 @@ func TestPredictViewExplainedParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(37))
 			train := spec.Gen(500)
 			rules := discoverRules(t, spec, train)
-			check := maskedRelation(spec, 400, rng)
+			check := checkedRelation(spec, 400, rng)
 			view := dataset.NewColumnSet(check).View()
 
 			plainP, plainC := rules.PredictView(view)
@@ -33,7 +34,7 @@ func TestPredictViewExplainedParity(t *testing.T) {
 					t.Fatalf("tuple %d: explained (%v,%v) diverges from plain (%v,%v)",
 						i, preds[i], covered[i], plainP[i], plainC[i])
 				}
-				ex := core.Explain(rules, tp)
+				ex := verify.ExplainRow(rules, tp)
 				if !covered[i] {
 					if ruleIDs[i] != -1 {
 						t.Fatalf("tuple %d: uncovered but rule id %d", i, ruleIDs[i])
@@ -41,13 +42,13 @@ func TestPredictViewExplainedParity(t *testing.T) {
 					continue
 				}
 				if len(ex.Matches) == 0 {
-					t.Fatalf("tuple %d: covered but Explain found no match", i)
+					t.Fatalf("tuple %d: covered but ExplainRow found no match", i)
 				}
 				if want := ex.Matches[0].RuleIndex; ruleIDs[i] != want {
 					t.Fatalf("tuple %d: rule id %d, want %d", i, ruleIDs[i], want)
 				}
 				if math.Float64bits(preds[i]) != math.Float64bits(ex.Matches[0].Prediction) {
-					t.Fatalf("tuple %d: prediction %v, want Explain's %v", i, preds[i], ex.Matches[0].Prediction)
+					t.Fatalf("tuple %d: prediction %v, want ExplainRow's %v", i, preds[i], ex.Matches[0].Prediction)
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,24 +64,32 @@ func randomRuleSet(rng *rand.Rand) *RuleSet {
 }
 
 // Property: the lazily built bucket index returns exactly what a linear scan
-// returns, for every query point including nulls and out-of-grid values.
+// and PredictView return, bitwise, for every query point including nulls,
+// out-of-grid values and non-finite ones (NaN fails every bound, so like
+// null it must pick no bucket; ±Inf clamp to the edge buckets).
 func TestRuleIndexMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randomRuleSet(rng)
+		rel := dataset.NewRelation(lineSchema())
 		for trial := 0; trial < 200; trial++ {
-			var tp dataset.Tuple
 			switch rng.Intn(8) {
 			case 0:
-				tp = dataset.Tuple{dataset.Null(), dataset.Num(0), dataset.Str("a")}
+				rel.MustAppend(dataset.Tuple{dataset.Null(), dataset.Num(0), dataset.Str("a")})
 			case 1: // far outside the grid
-				tp = lineTuple(1e6*(rng.Float64()*2-1), 0, "b")
+				rel.MustAppend(lineTuple(1e6*(rng.Float64()*2-1), 0, "b"))
+			case 2:
+				rel.MustAppend(lineTuple([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)], 0, "a"))
 			default:
-				tp = lineTuple(float64(rng.Intn(30)-15)+rng.Float64(), 0, []string{"a", "b", "c"}[rng.Intn(3)])
+				rel.MustAppend(lineTuple(float64(rng.Intn(30)-15)+rng.Float64(), 0, []string{"a", "b", "c"}[rng.Intn(3)]))
 			}
+		}
+		preds, covered := rs.PredictView(dataset.NewColumnSet(rel).View())
+		for i, tp := range rel.Tuples {
 			p1, ok1 := rs.Predict(tp) // indexed
 			p2, ok2 := predictLinearScan(rs, tp)
-			if ok1 != ok2 || p1 != p2 {
+			if ok1 != ok2 || ok1 != covered[i] ||
+				math.Float64bits(p1) != math.Float64bits(p2) || math.Float64bits(p1) != math.Float64bits(preds[i]) {
 				return false
 			}
 		}

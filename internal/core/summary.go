@@ -72,20 +72,20 @@ type Diff struct {
 	MaxDelta float64
 }
 
-// CompareOn evaluates both rule sets tuple-by-tuple.
+// CompareOn evaluates both rule sets on every tuple of rel, each in one
+// PredictBatch pass.
 func CompareOn(rel *dataset.Relation, a, b *RuleSet, tol float64) Diff {
-	var d Diff
-	for _, t := range rel.Tuples {
-		d.Tuples++
-		pa, oka := a.Predict(t)
-		pb, okb := b.Predict(t)
+	pa, ca := a.PredictBatch(rel)
+	pb, cb := b.PredictBatch(rel)
+	d := Diff{Tuples: rel.Len()}
+	for i := range pa {
 		switch {
-		case oka != okb:
+		case ca[i] != cb[i]:
 			d.CoverageMismatch++
-		case !oka:
+		case !ca[i]:
 			d.Agree++
 		default:
-			delta := pa - pb
+			delta := pa[i] - pb[i]
 			if delta < 0 {
 				delta = -delta
 			}

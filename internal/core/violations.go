@@ -21,6 +21,10 @@ type Violation struct {
 	// Excess is |Observed − Predicted| − ρ, how far beyond the allowed bias
 	// the tuple sits (> 0 by construction).
 	Excess float64
+	// Repair is the proposed target value: the tuple's first-match
+	// prediction, the value RuleSet.Predict returns for it. The violated
+	// rule covers the tuple, so every violation has one.
+	Repair float64
 }
 
 // Violations returns every (tuple, rule) violation in rel, ordered by tuple
@@ -31,12 +35,4 @@ type Violation struct {
 // reference it must match bitwise.
 func Violations(rel *dataset.Relation, s *RuleSet) []Violation {
 	return ViolationsColumns(dataset.NewColumnSetAttrs(rel, s.neededAttrs(s.YAttr)), s)
-}
-
-// Repair proposes a repaired target value for a violating tuple: the
-// prediction of the first rule covering it (the value that makes every
-// covering rule of that model satisfied). ok is false when no rule covers
-// the tuple.
-func Repair(t dataset.Tuple, s *RuleSet) (value float64, ok bool) {
-	return s.Predict(t)
 }

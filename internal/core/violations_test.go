@@ -53,15 +53,27 @@ func TestHoldsAll(t *testing.T) {
 	}
 }
 
+// TestRepair: every violation carries its tuple's first-match prediction,
+// the value Predict returns for it, even when the violated rule is not the
+// first to cover the tuple.
 func TestRepair(t *testing.T) {
 	rs := violationRuleSet()
-	v, ok := Repair(lineTuple(2, 7, "a"), rs)
-	if !ok || v != 4 {
-		t.Errorf("Repair = %v, %v; want 4", v, ok)
+	// f(x) = 2x + 10 on x ≥ 1 also covers every tuple from x = 1 up.
+	c := predicate.NewConjunction(predicate.NumPred(0, predicate.Ge, 1))
+	c.Builtin = c.Builtin.WithYShift(10)
+	rs.Rules = append(rs.Rules, ruleOn(regress.NewLinear(0, 2), 0.5, predicate.NewDNF(c)))
+	rel := dataset.NewRelation(lineSchema())
+	rel.MustAppend(lineTuple(2, 7, "a")) // violates both rules (4 and 14)
+	rel.MustAppend(lineTuple(2, 4, "a")) // violates only the second
+	vs := Violations(rel, rs)
+	if len(vs) != 3 {
+		t.Fatalf("violations = %d, want 3: %+v", len(vs), vs)
 	}
-	// Uncovered tuple: no repair (fallback not a rule prediction here).
-	if _, ok := Repair(lineTuple(-1, 0, "a"), rs); ok {
-		t.Error("Repair proposed a value for an uncovered tuple")
+	for _, v := range vs {
+		p, ok := rs.Predict(rel.Tuples[v.TupleIndex])
+		if !ok || v.Repair != 4 || v.Repair != p {
+			t.Errorf("violation %+v: repair %v, want 4 = Predict %v (covered %v)", v, v.Repair, p, ok)
+		}
 	}
 }
 

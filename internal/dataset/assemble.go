@@ -240,17 +240,11 @@ func AllNullColumn(k Kind, n int) AssembledColumn {
 	return col
 }
 
-// MaterializeRow rebuilds row r as a schema-ordered Tuple, inverting the
-// columnar encoding exactly: null bits become Null() (Num 0, Str ""),
+// materializeInto rebuilds row r into the schema-ordered Tuple t, inverting
+// the columnar encoding exactly: null bits become Null() (Num 0, Str ""),
 // numeric lanes become Num, codes become Str through the dictionary. Every
 // column must be populated (a ColumnSet from NewColumnSetAttrs with a
 // restricted attribute list cannot be materialized).
-func (cs *ColumnSet) MaterializeRow(r int) Tuple {
-	t := make(Tuple, cs.Schema.Len())
-	cs.materializeInto(t, r)
-	return t
-}
-
 func (cs *ColumnSet) materializeInto(t Tuple, r int) {
 	for a := 0; a < cs.Schema.Len(); a++ {
 		if cs.IsNull(a, r) {

@@ -76,9 +76,10 @@ func TestAssembleMatchesNewColumnSet(t *testing.T) {
 				t.Fatalf("%s col %d: codes/dict mismatch", name, a)
 			}
 		}
+		back := got.Materialize()
 		for r := 0; r < rel.Len(); r++ {
-			if !reflect.DeepEqual(got.MaterializeRow(r), rel.Tuples[r]) {
-				t.Fatalf("%s row %d: materialized %v, want %v", name, r, got.MaterializeRow(r), rel.Tuples[r])
+			if !reflect.DeepEqual(back.Tuples[r], rel.Tuples[r]) {
+				t.Fatalf("%s row %d: materialized %v, want %v", name, r, back.Tuples[r], rel.Tuples[r])
 			}
 		}
 	}
@@ -111,7 +112,7 @@ func TestAssembleNormalization(t *testing.T) {
 	if cs.HasNulls(2) {
 		t.Error("all-zero bitmap was not dropped")
 	}
-	if got := cs.MaterializeRow(1); !got[0].Null == false || !got[1].Null {
+	if got := cs.Materialize().Tuples[1]; !got[0].Null == false || !got[1].Null {
 		t.Errorf("row 1 = %v", got)
 	}
 }
@@ -168,7 +169,7 @@ func TestAllNullColumn(t *testing.T) {
 				}
 			}
 		}
-		if got := cs.MaterializeRow(n - 1); !got[0].Null || !got[1].Null {
+		if got := cs.Materialize().Tuples[n-1]; !got[0].Null || !got[1].Null {
 			t.Fatalf("n=%d: materialized last row %v, want nulls", n, got)
 		}
 	}

@@ -53,7 +53,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) *apiError
 
 // handleCheck answers POST /v1/check: the integrity-constraint reading of
 // the rule set (§II-A) via core.ViolationsColumns over the decoded batch,
-// with the first covering rule's prediction attached as the repair.
+// each violation with its row's repair (the row's first-match prediction).
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) *apiError {
 	art, aerr := s.artifactFor(r)
 	if aerr != nil {
@@ -81,9 +81,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) *apiError {
 				Observed:  v.Observed,
 				Predicted: v.Predicted,
 				Excess:    v.Excess,
-			}
-			if val, ok := core.Repair(batch.Cols.MaterializeRow(v.TupleIndex), art.rules); ok {
-				res.Violations[i].Repair = &val
+				Repair:    &vs[i].Repair,
 			}
 		}
 	}

@@ -197,7 +197,7 @@ func (rn *runner) clusterBinaryOracle(url string, t Target, rules *core.RuleSet,
 			w := want[i]
 			if got.Tuple != w.TupleIndex || got.Rule != w.RuleIndex ||
 				!bitsEqual(got.Observed, w.Observed) || !bitsEqual(got.Predicted, w.Predicted) ||
-				!bitsEqual(got.Excess, w.Excess) {
+				!bitsEqual(got.Excess, w.Excess) || got.Repair == nil || !bitsEqual(*got.Repair, w.Repair) {
 				detail = fmt.Sprintf("tenant %s violation %d: routed binary %+v vs in-process %+v",
 					tenant, i, got, w)
 				break

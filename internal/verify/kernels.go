@@ -229,7 +229,8 @@ func diffRows(got, want []int) string {
 
 // ViolationsRows is the tuple-at-a-time reference for core.Violations: every
 // (tuple, rule) pair where a covering rule's prediction misses a non-null
-// target by more than ρ plus core's float slack, ordered by tuple then rule.
+// target by more than ρ plus core's float slack, ordered by tuple then rule,
+// with the tuple's Predict value as the repair.
 func ViolationsRows(rel *dataset.Relation, s *core.RuleSet) []core.Violation {
 	var out []core.Violation
 	for ti, t := range rel.Tuples {
@@ -243,15 +244,59 @@ func ViolationsRows(rel *dataset.Relation, s *core.RuleSet) []core.Violation {
 				continue
 			}
 			if dev := math.Abs(t[s.YAttr].Num - pred); dev > r.Rho+satSlack {
+				repair, _ := s.Predict(t)
 				out = append(out, core.Violation{
 					TupleIndex: ti,
 					RuleIndex:  ri,
 					Observed:   t[s.YAttr].Num,
 					Predicted:  pred,
 					Excess:     dev - r.Rho,
+					Repair:     repair,
 				})
 			}
 		}
+	}
+	return out
+}
+
+// ExplainRow is the tuple-at-a-time reference for core.ExplainView: every
+// rule of s evaluated against t, each covering rule through its first
+// satisfied conjunction.
+func ExplainRow(s *core.RuleSet, t dataset.Tuple) core.Explanation {
+	out := core.Explanation{Prediction: s.Fallback}
+	for ri := range s.Rules {
+		r := &s.Rules[ri]
+		ci := -1
+		for i, c := range r.Cond.Conjs {
+			if c.Sat(t) {
+				ci = i
+				break
+			}
+		}
+		if ci < 0 {
+			continue
+		}
+		pred, ok := r.Predict(t)
+		if !ok {
+			continue // null X cell
+		}
+		m := core.MatchInfo{
+			RuleIndex:  ri,
+			ConjIndex:  ci,
+			Builtin:    r.Cond.Conjs[ci].Builtin,
+			Prediction: pred,
+			Deviation:  math.NaN(),
+			Satisfied:  true,
+		}
+		if !t[s.YAttr].Null {
+			m.Deviation = math.Abs(t[s.YAttr].Num - pred)
+			m.Satisfied = m.Deviation <= r.Rho+satSlack
+		}
+		if !out.Covered {
+			out.Covered = true
+			out.Prediction = pred
+		}
+		out.Matches = append(out.Matches, m)
 	}
 	return out
 }

@@ -156,7 +156,7 @@ func diffViolations(a, b []core.Violation) string {
 		va, vb := a[i], b[i]
 		if va.TupleIndex != vb.TupleIndex || va.RuleIndex != vb.RuleIndex ||
 			!bitsEqual(va.Observed, vb.Observed) || !bitsEqual(va.Predicted, vb.Predicted) ||
-			!bitsEqual(va.Excess, vb.Excess) {
+			!bitsEqual(va.Excess, vb.Excess) || !bitsEqual(va.Repair, vb.Repair) {
 			return fmt.Sprintf("violation %d: %+v vs %+v", i, va, vb)
 		}
 	}
@@ -166,7 +166,7 @@ func diffViolations(a, b []core.Violation) string {
 func diffExplain(rel *dataset.Relation, rules *core.RuleSet) string {
 	view := core.ExplainView(dataset.NewColumnSet(rel).View(), rules)
 	for i, tp := range rel.Tuples {
-		row := core.Explain(rules, tp)
+		row := ExplainRow(rules, tp)
 		col := view[i]
 		if col.Covered != row.Covered || !bitsEqual(col.Prediction, row.Prediction) {
 			return fmt.Sprintf("row %d: view (%g,%v) vs row (%g,%v)",

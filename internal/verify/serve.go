@@ -112,7 +112,7 @@ func (rn *runner) serveOracles(t Target, rules *core.RuleSet, label string) erro
 	}
 	rn.check("serve/predict-single/"+label, detail)
 
-	// Check: served violations vs core.Violations + core.Repair.
+	// Check: served violations vs core.Violations, repairs vs Predict.
 	var cr checkResponse
 	if err := postJSON(ts.URL+"/v1/check", map[string]any{"tuples": wire}, &cr); err != nil {
 		return fmt.Errorf("serve %s check: %w", label, err)
@@ -178,7 +178,7 @@ func (rn *runner) serveBinaryOracles(url string, t Target, rules *core.RuleSet, 
 			w := want[i]
 			if got.Tuple != w.TupleIndex || got.Rule != w.RuleIndex ||
 				!bitsEqual(got.Observed, w.Observed) || !bitsEqual(got.Predicted, w.Predicted) ||
-				!bitsEqual(got.Excess, w.Excess) {
+				!bitsEqual(got.Excess, w.Excess) || got.Repair == nil || !bitsEqual(*got.Repair, w.Repair) {
 				detail = fmt.Sprintf("violation %d: binary %+v vs in-process %+v", i, got, w)
 				break
 			}
@@ -203,7 +203,7 @@ func diffServedViolations(rel *dataset.Relation, rules *core.RuleSet, cr *checkR
 			!bitsEqual(got.Excess, w.Excess) {
 			return fmt.Sprintf("violation %d: served %+v vs in-process %+v", i, got, w)
 		}
-		repair, rok := core.Repair(rel.Tuples[w.TupleIndex], rules)
+		repair, rok := rules.Predict(rel.Tuples[w.TupleIndex])
 		switch {
 		case rok && got.Repair == nil:
 			return fmt.Sprintf("violation %d: repair %g missing from response", i, repair)
