@@ -2,8 +2,9 @@ package core
 
 // Micro-benchmarks for the core machinery, complementing the paper-artifact
 // benchmarks at the repository root: discovery (sequential vs parallel),
-// compaction, indexed prediction against the linear-scan reference, and
-// columnar classification at the serving batch size.
+// compaction, both again on a dense predicate space, indexed prediction
+// against the linear-scan reference, and columnar classification at the
+// serving batch size.
 
 import (
 	"context"
@@ -79,6 +80,50 @@ func BenchmarkCompact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compact(res.Rules)
+	}
+}
+
+// denseCutsConfig is the discover-airquality pass shape of cmd/crrperf:
+// 8,000 AirQuality rows, CO on Time, and the paper's default predicate space
+// on Time (a cut at every distinct value, ~16k predicates) at ρ 1. Every node
+// then scores thousands of cuts, which the Binary-32 spaces of the other
+// discovery benchmarks never reach.
+func denseCutsConfig() (*dataset.Relation, DiscoverConfig) {
+	gen := dataset.DefaultAirQualityConfig()
+	gen.Rows = 8000
+	rel := dataset.GenerateAirQuality(gen)
+	return rel, DiscoverConfig{
+		XAttrs:  []int{0},
+		YAttr:   1,
+		RhoM:    1,
+		Preds:   predicate.Generate(rel, []int{0}, predicate.GeneratorConfig{}),
+		Trainer: regress.LinearTrainer{},
+	}
+}
+
+func BenchmarkDiscoverDenseCuts(b *testing.B) {
+	rel, cfg := denseCutsConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompactDenseCuts(b *testing.B) {
+	rel, cfg := denseCutsConfig()
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := CompactCtx(context.Background(), res.Rules, CompactOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

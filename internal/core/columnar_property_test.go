@@ -9,6 +9,7 @@ import (
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/experiments"
+	"github.com/crrlab/crr/internal/induction"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 	"github.com/crrlab/crr/internal/verify"
@@ -276,6 +277,104 @@ func TestDiscoveryKernelsVsTuples(t *testing.T) {
 				Preds:   preds,
 				Trainer: regress.LinearTrainer{},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if detail != "" {
+				t.Fatal(detail)
+			}
+		})
+	}
+}
+
+// conditionGapRelation is 400 rows of Y = X + a step in the numeric
+// condition C + an offset for tag "b", with C replaced by gap (null or NaN)
+// on every 37th odd row. C is not an X attribute, so those rows stay
+// trainable; only parts of tag "b" hold them, so the numeric splits on C
+// stay applicable under tag "a".
+func conditionGapRelation(gap dataset.Value) *dataset.Relation {
+	rel := dataset.NewRelation(dataset.MustSchema(
+		dataset.Attribute{Name: "X", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "Y", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "C", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "G", Kind: dataset.Categorical},
+	))
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 400; i++ {
+		x, c, tag := 10*rng.Float64(), float64(i%50), "a"
+		y := x + 0.01*rng.Float64()
+		if c >= 25 {
+			y += 5
+		}
+		cell := dataset.Num(c)
+		if i%2 == 1 {
+			tag = "b"
+			y += 10
+			if i%37 == 0 {
+				cell = gap
+			}
+		}
+		rel.MustAppend(dataset.Tuple{dataset.Num(x), dataset.Num(y), cell, dataset.Str(tag)})
+	}
+	return rel
+}
+
+// TestDiscoverCoversNullAndNaNConditionCells: a numeric cut pair selects no
+// row whose condition cell is null or NaN, so it must not split a part
+// holding one. Both lattice engines and growprune must still cover every
+// trainable row and split on C where the part allows it, and the kernel oracle must find every
+// split group a partition that matches its reference scorer.
+func TestDiscoverCoversNullAndNaNConditionCells(t *testing.T) {
+	for _, gap := range []struct {
+		name string
+		cell dataset.Value
+	}{{"null", dataset.Null()}, {"NaN", dataset.Num(math.NaN())}} {
+		rel := conditionGapRelation(gap.cell)
+		cfg := core.DiscoverConfig{
+			XAttrs:  []int{0},
+			YAttr:   1,
+			RhoM:    0.1,
+			Preds:   predicate.Generate(rel, []int{2, 3}, predicate.GeneratorConfig{}),
+			Trainer: regress.LinearTrainer{},
+		}
+		for _, engine := range []struct {
+			name string
+			opt  core.DiscoverOption
+		}{
+			{"sequential", core.WithWorkers(1)},
+			{"parallel", core.WithWorkers(2)},
+			{"growprune", core.WithStrategy(induction.GrowPrune{})},
+		} {
+			t.Run(gap.name+"/"+engine.name, func(t *testing.T) {
+				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), engine.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, covered := res.Rules.PredictView(dataset.NewColumnSet(rel).View())
+				uncovered := 0
+				for _, ok := range covered {
+					if !ok {
+						uncovered++
+					}
+				}
+				if uncovered > 0 {
+					t.Fatalf("%d of %d trainable rows uncovered", uncovered, rel.Len())
+				}
+				splitOnC := false
+				for _, r := range res.Rules.Rules {
+					for _, c := range r.Cond.Conjs {
+						for _, p := range c.Preds {
+							splitOnC = splitOnC || p.Attr == 2
+						}
+					}
+				}
+				if !splitOnC {
+					t.Fatal("no rule splits on C, though tag \"a\" parts hold no gap")
+				}
+			})
+		}
+		t.Run(gap.name+"/kernels", func(t *testing.T) {
+			detail, err := verify.KernelsVsTuples(context.Background(), rel, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,9 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -533,13 +535,14 @@ func newSplitIndex(preds []predicate.Predicate) *splitIndex {
 	return si
 }
 
-// partScan is the per-discovery scan engine: predicate filtering, SSE
-// scoring and split selection over row index vectors, run as vectorized
-// predicate.Filter sweeps and dense column reads over the run's ColumnSet.
-// Selections stay in row order and every float accumulation runs in a fixed
-// order (categorical fans sum per-value SSE in sorted value order), so the
-// output is bitwise-reproducible; internal/verify checks it against a
-// tuple-at-a-time reference.
+// partScan is the per-discovery scan engine: predicate filtering and SSE
+// scoring over row index vectors, run as vectorized predicate.Filter sweeps
+// and dense column reads over the run's ColumnSet; split selection
+// (partWorkspace.topSplits) builds on it. Selections stay in row order and
+// every float accumulation runs in a fixed order (categorical fans sum
+// per-value SSE in sorted value order), so the output is
+// bitwise-reproducible; internal/verify checks it against a tuple-at-a-time
+// reference. Workers share it, so it holds no scratch.
 type partScan struct {
 	cols *dataset.ColumnSet
 	// Telemetry; nil handles no-op.
@@ -547,9 +550,10 @@ type partScan struct {
 	selectivity *telemetry.Distribution
 }
 
-// filterIdxs returns the subset of idxs satisfying p, preserving order.
-func (sc *partScan) filterIdxs(idxs []int, p predicate.Predicate) []int {
-	out := p.Filter(sc.cols, idxs, nil)
+// filterIdxs returns the subset of idxs satisfying p, preserving order,
+// appended to dst[:0].
+func (sc *partScan) filterIdxs(idxs []int, p predicate.Predicate, dst []int) []int {
+	out := p.Filter(sc.cols, idxs, dst)
 	sc.rowsScanned.Add(int64(len(idxs)))
 	if len(idxs) > 0 {
 		sc.selectivity.Observe(float64(len(out)) / float64(len(idxs)))
@@ -557,92 +561,152 @@ func (sc *partScan) filterIdxs(idxs []int, p predicate.Predicate) []int {
 	return out
 }
 
-// bestSplit chooses the split predicates (Line 19) with the regression-tree
-// strategy of [9]: group ℙ into complementary partitions — numeric {>c, ≤c}
-// pairs and per-attribute categorical equality fans — score each group by
-// its weighted-variance (SSE) reduction on Y, and return the children of the
-// best-scoring group. Returning complementary children keeps the union of
-// queue entries covering D_C, which Problem 1 requires.
-//
-// Numeric scoring is O(n log n + |cuts in range|) per attribute via sorted
-// prefix sums over a split index precomputed once per discovery, so the
-// paper's default predicate space (a cut at every domain value) stays
-// affordable.
-func (sc *partScan) bestSplit(idxs []int, si *splitIndex, yattr int) []childPart {
-	groups := sc.topSplits(idxs, si, yattr, 1)
-	if len(groups) == 0 {
-		return nil
-	}
-	return groups[0]
-}
-
-// splitCandidate is one scored split group: either a numeric cut pair or a
-// categorical fan.
+// splitCandidate is one scored split group: either a numeric cut pair, with
+// the number of part rows at or below its cut, or a categorical fan.
 type splitCandidate struct {
 	gain    float64
 	numeric bool
 	attr    int
 	cut     float64
+	below   int
 }
 
-// topSplits scores every applicable split group and materializes the
-// children of the k best (Proposition 8's multi-split when k > 1). An empty
-// part has no split.
-func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]childPart {
-	if len(idxs) == 0 {
+// before ranks split candidates: gain descending, then attr and cut
+// ascending. The order is strict — numeric (attr, cut) pairs are unique, a
+// categorical fan owns its attribute, and a NaN gain never becomes a
+// candidate — so the k best are the same set, in the same order, whatever
+// order the candidates are offered in.
+func (c splitCandidate) before(d splitCandidate) bool {
+	if c.gain != d.gain {
+		return c.gain > d.gain
+	}
+	if c.attr != d.attr {
+		return c.attr < d.attr
+	}
+	return c.cut < d.cut
+}
+
+// offerSplit inserts c into best, the k best candidates offered so far in
+// before order, and returns the updated slice.
+func offerSplit(best []splitCandidate, k int, c splitCandidate) []splitCandidate {
+	i := len(best)
+	for i > 0 && c.before(best[i-1]) {
+		i--
+	}
+	if i == k {
+		return best
+	}
+	if len(best) < k {
+		best = append(best, c)
+	}
+	copy(best[i+1:], best[i:len(best)-1])
+	best[i] = c
+	return best
+}
+
+// valueY is one part row as the numeric split scorer sees it: the row's
+// value on the split attribute and its target.
+type valueY struct{ v, y float64 }
+
+// sortByValue sorts part rows by value with slices.SortFunc, the same
+// generated pdqsort sort.Slice runs. pdqsort reads only whether the
+// comparator is negative, and that is exactly a.v < b.v — the comparisons
+// sort.Slice makes in the reference scorer (internal/verify) — so rows with
+// equal values land in the same order and the running sums keep their bits.
+func sortByValue(pairs []valueY) {
+	slices.SortFunc(pairs, func(a, b valueY) int {
+		if a.v < b.v {
+			return -1
+		}
+		if b.v < a.v {
+			return 1
+		}
+		return 0
+	})
+}
+
+// sumsSSE is Σ (y − ȳ)² of cnt rows from their Σy and Σy².
+func sumsSSE(sum, sq float64, cnt int) float64 {
+	return sq - sum*sum/float64(cnt)
+}
+
+// topSplits chooses the split predicates (Line 19) with the regression-tree
+// strategy of [9]: group ℙ into complementary partitions — numeric {>c, ≤c}
+// pairs and per-attribute categorical equality fans — score each group by
+// its weighted-variance (SSE) reduction on Y, and materialize the children
+// of the k best, best first (Proposition 8's multi-split when k > 1). An
+// empty part, or k < 1, has no split.
+//
+// A group is applicable only when it partitions the part, so the union of
+// queue entries keeps covering D_C, which Problem 1 requires: a numeric pair
+// needs a non-null, non-NaN value on its attribute in every row (the filters
+// drop such cells from both sides), and a categorical fan must cover every
+// value present.
+//
+// Numeric scoring sorts the part once per attribute, then sweeps the cuts
+// strictly inside the part's value range with one pointer and running sums
+// of y and y²; a running selection keeps the k best, so no candidate list
+// is built or sorted. The paper's default predicate space (a cut at every
+// domain value) stays affordable.
+func (ws *partWorkspace) topSplits(idxs []int, k int) [][]childPart {
+	if len(idxs) == 0 || k < 1 {
 		return nil
 	}
+	hl := ws.loop
+	sc, si, yattr := hl.sc, hl.si, hl.cfg.YAttr
 	total := sc.sse(idxs, yattr)
-	var cands []splitCandidate
+	best := ws.best[:0]
 
-	yc := sc.cols.Float(yattr)
 	for _, a := range si.numAttrs {
-		cuts := si.cuts[a]
-		// Sort the part once by the attribute value; prefix sums of y, y².
-		vals := make([]float64, len(idxs))
-		ys := make([]float64, len(idxs))
-		order := make([]int, len(idxs))
-		col := sc.cols.Float(a)
-		for i, ti := range idxs {
-			order[i] = i
-			vals[i] = col[ti]
-			ys[i] = yc[ti]
-		}
-		sort.Slice(order, func(i, j int) bool { return vals[order[i]] < vals[order[j]] })
-		sortedVals := make([]float64, len(order))
-		s1 := make([]float64, len(order)+1)
-		s2 := make([]float64, len(order)+1)
-		for i, oi := range order {
-			sortedVals[i] = vals[oi]
-			s1[i+1] = s1[i] + ys[oi]
-			s2[i+1] = s2[i] + ys[oi]*ys[oi]
-		}
-		n := len(order)
-		sseRange := func(lo, hi int) float64 { // rows [lo,hi)
-			cnt := float64(hi - lo)
-			if cnt == 0 {
-				return 0
+		col, nulls := sc.cols.Float(a), sc.cols.Nulls(a)
+		pairs := ws.pairs[:0]
+		lo, hi := math.Inf(1), math.Inf(-1)
+		applicable := true
+		for _, ti := range idxs {
+			v := col[ti]
+			if v != v || nulls != nil && nulls[ti>>6]&(1<<(uint(ti)&63)) != 0 {
+				applicable = false
+				break
 			}
-			sum := s1[hi] - s1[lo]
-			return (s2[hi] - s2[lo]) - sum*sum/cnt
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+			pairs = append(pairs, valueY{v, hl.ycol[ti]})
 		}
-		// Only cuts strictly inside the part's value range can split it;
-		// pruning to that window keeps per-node cost proportional to the
-		// part, not to the global predicate space.
-		loCut := sort.SearchFloat64s(cuts, sortedVals[0])
-		hiCut := sort.SearchFloat64s(cuts, sortedVals[n-1])
+		ws.pairs = pairs
+		if !applicable {
+			continue
+		}
+		// Only cuts in [min, max) of the part's values split it; pruning to
+		// that window keeps per-node cost proportional to the part, not to
+		// the global predicate space.
+		cuts := si.cuts[a]
+		loCut, hiCut := sort.SearchFloat64s(cuts, lo), sort.SearchFloat64s(cuts, hi)
+		if loCut == hiCut {
+			continue
+		}
+		sortByValue(pairs)
+		var t1, t2 float64
+		for _, p := range pairs {
+			t1 += p.y
+			t2 += p.y * p.y
+		}
+		n := len(pairs)
+		var s1, s2 float64 // Σy, Σy² of pairs[:pos]
+		pos := 0
 		for _, c := range cuts[loCut:hiCut] {
-			pos := sort.SearchFloat64s(sortedVals, c)
-			// pos = first index with value > c after adjusting for equals.
-			for pos < n && sortedVals[pos] <= c {
+			for pos < n && pairs[pos].v <= c {
+				s1 += pairs[pos].y
+				s2 += pairs[pos].y * pairs[pos].y
 				pos++
 			}
-			if pos == 0 || pos == n {
-				continue
-			}
-			gain := total - sseRange(0, pos) - sseRange(pos, n)
+			// min ≤ c < max, so both sides are non-empty.
+			gain := total - sumsSSE(s1, s2, pos) - sumsSSE(t1-s1, t2-s2, n-pos)
 			if gain > 0 {
-				cands = append(cands, splitCandidate{gain: gain, numeric: true, attr: a, cut: c})
+				best = offerSplit(best, k, splitCandidate{gain: gain, numeric: true, attr: a, cut: c, below: pos})
 			}
 		}
 	}
@@ -690,39 +754,28 @@ func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]chil
 			childSSE += sc.sse(byValue[v], yattr)
 		}
 		if gain := total - childSSE; gain > 0 {
-			cands = append(cands, splitCandidate{gain: gain, attr: a})
+			best = offerSplit(best, k, splitCandidate{gain: gain, attr: a})
 		}
 	}
+	ws.best = best
 
-	if len(cands) == 0 {
+	if len(best) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].gain != cands[j].gain {
-			return cands[i].gain > cands[j].gain
-		}
-		if cands[i].attr != cands[j].attr {
-			return cands[i].attr < cands[j].attr
-		}
-		return cands[i].cut < cands[j].cut
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([][]childPart, 0, k)
-	for _, cand := range cands[:k] {
+	out := make([][]childPart, 0, len(best))
+	for _, cand := range best {
 		if cand.numeric {
 			le := predicate.NumPred(cand.attr, predicate.Le, cand.cut)
 			gt := predicate.NumPred(cand.attr, predicate.Gt, cand.cut)
 			out = append(out, []childPart{
-				{le, sc.filterIdxs(idxs, le)},
-				{gt, sc.filterIdxs(idxs, gt)},
+				{le, sc.filterIdxs(idxs, le, make([]int, 0, cand.below))},
+				{gt, sc.filterIdxs(idxs, gt, make([]int, 0, len(idxs)-cand.below))},
 			})
 			continue
 		}
 		var parts []childPart
 		for _, p := range si.catPreds[cand.attr] {
-			if sel := sc.filterIdxs(idxs, p); len(sel) > 0 {
+			if sel := sc.filterIdxs(idxs, p, nil); len(sel) > 0 {
 				parts = append(parts, childPart{p, sel})
 			}
 		}

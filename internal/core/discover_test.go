@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -328,13 +329,22 @@ func TestQueueOrderString(t *testing.T) {
 	}
 }
 
-// emptyPartStrategy asks the substrate to split an empty part.
-type emptyPartStrategy struct{ groups [][]SplitChild }
+// splitProbe is a strategy that asks the substrate for the k best splits
+// of the trainable rows, or of an empty part when empty is set.
+type splitProbe struct {
+	k      int
+	empty  bool
+	groups [][]SplitChild
+}
 
-func (*emptyPartStrategy) Name() string { return "empty-part" }
+func (*splitProbe) Name() string { return "split-probe" }
 
-func (s *emptyPartStrategy) Induce(_ context.Context, sub *Substrate) (*DiscoverResult, error) {
-	s.groups = sub.TopSplits(nil, 1)
+func (s *splitProbe) Induce(_ context.Context, sub *Substrate) (*DiscoverResult, error) {
+	rows := sub.TrainableRows()
+	if s.empty {
+		rows = nil
+	}
+	s.groups = sub.TopSplits(rows, s.k)
 	return sub.NewResult(), nil
 }
 
@@ -342,11 +352,111 @@ func (s *emptyPartStrategy) Induce(_ context.Context, sub *Substrate) (*Discover
 // instead of indexing into an empty sort.
 func TestTopSplitsEmptyPart(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 7)
-	s := &emptyPartStrategy{}
+	s := &splitProbe{k: 1, empty: true}
 	if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
 		t.Fatal(err)
 	}
 	if s.groups != nil {
 		t.Fatalf("TopSplits(nil) = %v, want nil", s.groups)
+	}
+}
+
+// TestTopSplitsNonPositiveK: asking for fewer than one split returns nil,
+// on a part that has candidate splits.
+func TestTopSplitsNonPositiveK(t *testing.T) {
+	rel := piecewiseRelation(100, 0.2, 7)
+	for _, k := range []int{0, -1} {
+		s := &splitProbe{k: k}
+		if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
+			t.Fatal(err)
+		}
+		if s.groups != nil {
+			t.Fatalf("TopSplits(rows, %d) = %v, want nil", k, s.groups)
+		}
+	}
+}
+
+// TestTopSplitsTiedGains: with mirror-symmetric Y and two identical
+// attributes, four cuts tie exactly on gain. TopSplits must rank them by
+// attribute, then cut, and return the first k of that order for every k —
+// all four when k exceeds the number of candidates.
+func TestTopSplitsTiedGains(t *testing.T) {
+	rel := dataset.NewRelation(dataset.MustSchema(
+		dataset.Attribute{Name: "A", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "B", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "Y", Kind: dataset.Numeric},
+	))
+	// Y over A = 1, 2, 3, 4 is 0, 1, 1, 0, two rows each and not in value
+	// order. Small integers keep every sum exact, so the cuts at 1 and at 3
+	// have bitwise-equal gains and the cut at 2 has none.
+	for _, a := range []float64{3, 1, 4, 2, 2, 4, 1, 3} {
+		y := 1.0
+		if a == 1 || a == 4 {
+			y = 0
+		}
+		rel.MustAppend(dataset.Tuple{dataset.Num(a), dataset.Num(a), dataset.Num(y)})
+	}
+	var preds []predicate.Predicate
+	for _, attr := range []int{1, 0} {
+		for _, c := range []float64{3, 2, 1} {
+			preds = append(preds, predicate.NumPred(attr, predicate.Gt, c), predicate.NumPred(attr, predicate.Le, c))
+		}
+	}
+	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 2, RhoM: 0.1, Preds: preds, Trainer: regress.LinearTrainer{}}
+	want := []struct {
+		attr int
+		cut  float64
+	}{{0, 1}, {0, 3}, {1, 1}, {1, 3}}
+	for k := 1; k <= 5; k++ {
+		s := &splitProbe{k: k}
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithStrategy(s)); err != nil {
+			t.Fatal(err)
+		}
+		if n := min(k, len(want)); len(s.groups) != n {
+			t.Fatalf("k=%d: %d groups, want %d", k, len(s.groups), n)
+		}
+		for i, g := range s.groups {
+			w := want[i]
+			le, gt := predicate.NumPred(w.attr, predicate.Le, w.cut), predicate.NumPred(w.attr, predicate.Gt, w.cut)
+			if len(g) != 2 || g[0].Pred != le || g[1].Pred != gt {
+				t.Fatalf("k=%d: group %d is %v, want {%v, %v}", k, i, g, le, gt)
+			}
+			if l := len(g[0].Rows); l != 2*int(w.cut) || l+len(g[1].Rows) != rel.Len() {
+				t.Fatalf("k=%d: group %d splits %d | %d rows", k, i, l, len(g[1].Rows))
+			}
+		}
+	}
+}
+
+// TestSplitSortMatchesSortSlice: the split scorer sorts (value, y) pairs
+// with sortByValue, the reference scorer in internal/verify an index
+// permutation with sort.Slice. Rows with equal
+// values must land in the same order under both, or the running sums, the
+// gains and the mined rules drift by ulps. The inputs carry many ties, both
+// shuffled and in runs that restart, as a time column does across the
+// chunks of a column store.
+func TestSplitSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{5, 13, 50, 1000, 70000} {
+		for _, runs := range []bool{false, true} {
+			vals := make([]float64, n)
+			pairs := make([]valueY, n)
+			order := make([]int, n)
+			for i := range vals {
+				vals[i] = float64(rng.Intn(n/20 + 1))
+				if runs {
+					vals[i] = float64(i % (n/20 + 1))
+				}
+				pairs[i] = valueY{vals[i], float64(i)}
+				order[i] = i
+			}
+			sort.Slice(order, func(i, j int) bool { return vals[order[i]] < vals[order[j]] })
+			sortByValue(pairs)
+			for i, oi := range order {
+				if int(pairs[i].y) != oi {
+					t.Fatalf("n=%d runs=%v: position %d holds row %d, sort.Slice puts row %d", n, runs, i, int(pairs[i].y), oi)
+				}
+			}
+		}
 	}
 }

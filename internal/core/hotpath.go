@@ -117,17 +117,20 @@ func (hl *hotLoop) workspace() *partWorkspace {
 	return &partWorkspace{loop: hl}
 }
 
-// partWorkspace is one worker's reusable scratch: the gathered part rows and
-// the share scanner's residual buffer. Steady-state node evaluation does not
-// allocate. The gathered x rows live in the workspace's flat backing buffer
-// and are recycled on the next gather, so trainers must not retain x beyond
-// Train (the built-in families copy or consume it inside the call).
+// partWorkspace is one worker's reusable scratch: the gathered part rows,
+// the share scanner's residual buffer and the split scorer's sort and
+// selection buffers. Steady-state node evaluation does not allocate. The
+// gathered x rows live in the workspace's flat backing buffer and are
+// recycled on the next gather, so trainers must not retain x beyond Train
+// (the built-in families copy or consume it inside the call).
 type partWorkspace struct {
 	loop    *hotLoop
 	flat    []float64 // row-major gather backing, reused across nodes
 	x       [][]float64
 	y       []float64
 	scanner regress.ShareScanner
+	pairs   []valueY         // topSplits: the part sorted by one attribute
+	best    []splitCandidate // topSplits: the running top-k
 }
 
 // part gathers a part's feature rows and targets from the dense columns — a
@@ -263,7 +266,7 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 			k = prop8MaxGroups
 		}
 	}
-	for _, group := range hl.sc.topSplits(item.idxs, hl.si, cfg.YAttr, k) {
+	for _, group := range ws.topSplits(item.idxs, k) {
 		ev.children = append(ev.children, hl.childItems(item, group)...)
 	}
 	if len(ev.children) == 0 {
@@ -276,7 +279,8 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 
 // childItems materializes one split group's children with their sufficient
 // statistics. Every group returned by topSplits partitions the parent
-// (numeric {>c, ≤c} pairs; categorical fans covering every present value).
+// (numeric {>c, ≤c} pairs over null- and NaN-free values; categorical fans
+// covering every present value).
 // In exact mode every child is accumulated fresh from the cached columns in
 // row order (bitwise identical to a full-pass fit); otherwise all but the
 // largest child are accumulated and the largest comes for free as

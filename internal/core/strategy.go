@@ -131,7 +131,7 @@ func (s *Substrate) Columns() *dataset.ColumnSet { return s.cols }
 // Filter returns the subset of idxs satisfying p, preserving order, through
 // the run's vectorized columnar sweep.
 func (s *Substrate) Filter(idxs []int, p predicate.Predicate) []int {
-	return s.hot(true).sc.filterIdxs(idxs, p)
+	return s.hot(true).sc.filterIdxs(idxs, p, nil)
 }
 
 // SSE returns Σ (y − ȳ)² of the target over the selected rows.
@@ -148,12 +148,13 @@ type SplitChild struct {
 
 // TopSplits scores every applicable split group on the part — numeric
 // {>c, ≤c} cut pairs and categorical equality fans from the predicate
-// space — by SSE reduction and materializes the children of the k best.
-// Every returned group partitions the part, so unions of children preserve
-// coverage. An empty part has no split and returns nil.
+// space — by SSE reduction and materializes the children of the k best,
+// best first. Every returned group partitions the part, so unions of
+// children preserve coverage; a numeric pair applies only when every row
+// has a non-null, non-NaN value on its attribute. An empty part, or k < 1,
+// has no split and returns nil.
 func (s *Substrate) TopSplits(idxs []int, k int) [][]SplitChild {
-	hl := s.hot(true)
-	groups := hl.sc.topSplits(idxs, s.splitIdx(), s.cfg.YAttr, k)
+	groups := s.workspace().topSplits(idxs, k)
 	if len(groups) == 0 {
 		return nil
 	}

@@ -168,6 +168,40 @@ func (c Conjunction) summarize() summary {
 	return s
 }
 
+// disjoint reports whether no tuple satisfies both summarized conjunctions:
+// Conjunction{Preds: a.Preds ++ b.Preds}.Unsatisfiable(), decided from the
+// two summaries alone. That holds when either side is contradictory, a
+// shared categorical attribute requires different values, or a shared
+// numeric attribute's intervals do not meet.
+func (s summary) disjoint(t summary) bool {
+	if s.contradict || t.contradict {
+		return true
+	}
+	for a, v := range s.categorical {
+		if w, ok := t.categorical[a]; ok && w != v {
+			return true
+		}
+	}
+	for a, iv := range s.numeric {
+		if jv, ok := t.numeric[a]; ok && iv.meet(jv).empty() {
+			return true
+		}
+	}
+	return false
+}
+
+// meet returns the intersection of two intervals, tightening each end under
+// the open/closed rules of intersect.
+func (iv interval) meet(jv interval) interval {
+	if jv.lo > iv.lo || (jv.lo == iv.lo && !jv.loClosed) {
+		iv.lo, iv.loClosed = jv.lo, jv.loClosed
+	}
+	if jv.hi < iv.hi || (jv.hi == iv.hi && !jv.hiClosed) {
+		iv.hi, iv.hiClosed = jv.hi, jv.hiClosed
+	}
+	return iv
+}
+
 // Unsatisfiable reports whether no tuple can satisfy the conjunction (e.g.
 // A > 5 ∧ A < 3). Satisfiability here is over the unrestricted attribute
 // domains, which is sound for pruning the search queue.

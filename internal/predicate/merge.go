@@ -19,7 +19,21 @@ import (
 // groups first and returns the input unchanged when any cross-group overlap
 // (or an oversized input) makes the merge unsafe.
 func (d DNF) MergeAdjacent() DNF {
-	if len(d.Conjs) > mergeMaxDisjuncts || !crossGroupsDisjoint(d) {
+	if len(d.Conjs) > mergeMaxDisjuncts {
+		return d
+	}
+	// Summarize each disjunct once and key it by its merge group.
+	sums := make([]summary, len(d.Conjs))
+	keys := make([]string, len(d.Conjs))
+	for i, c := range d.Conjs {
+		sums[i] = c.summarize()
+		if attr, ok := sums[i].soleIntervalAttr(); ok {
+			keys[i] = mergeKey(c, attr)
+		} else {
+			keys[i] = "passthrough|" + c.String()
+		}
+	}
+	if !crossGroupsDisjoint(sums, keys) {
 		return d
 	}
 	type window struct {
@@ -32,15 +46,14 @@ func (d DNF) MergeAdjacent() DNF {
 	groups := make(map[string][]window)
 	var passthrough []Conjunction
 	var order []string
-	for _, c := range d.Conjs {
-		attr, ok := soleIntervalAttr(c)
+	for i, c := range d.Conjs {
+		attr, ok := sums[i].soleIntervalAttr()
 		if !ok {
 			passthrough = append(passthrough, c)
 			continue
 		}
-		s := c.summarize()
-		iv := s.numeric[attr]
-		key := mergeKey(c, attr)
+		iv := sums[i].numeric[attr]
+		key := keys[i]
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}
@@ -82,24 +95,16 @@ const mergeMaxDisjuncts = 2048
 
 // crossGroupsDisjoint verifies that no two disjuncts from different merge
 // groups (different context/builtin, or passthrough) can be satisfied by the
-// same tuple, so regrouping cannot change first-match resolution.
-func crossGroupsDisjoint(d DNF) bool {
-	keys := make([]string, len(d.Conjs))
-	for i, c := range d.Conjs {
-		if attr, ok := soleIntervalAttr(c); ok {
-			keys[i] = mergeKey(c, attr)
-		} else {
-			keys[i] = "passthrough|" + c.String()
-		}
-	}
-	for i := 0; i < len(d.Conjs); i++ {
-		for j := i + 1; j < len(d.Conjs); j++ {
+// same tuple, so regrouping cannot change first-match resolution. sums and
+// keys are the disjuncts' summaries and merge keys; each pair is decided
+// from its two summaries, without building their conjunction.
+func crossGroupsDisjoint(sums []summary, keys []string) bool {
+	for i := range sums {
+		for j := i + 1; j < len(sums); j++ {
 			if keys[i] == keys[j] {
 				continue
 			}
-			both := Conjunction{Preds: append(append([]Predicate(nil),
-				d.Conjs[i].Preds...), d.Conjs[j].Preds...)}
-			if !both.Unsatisfiable() {
+			if !sums[i].disjoint(sums[j]) {
 				return false
 			}
 		}
@@ -120,12 +125,10 @@ func touches(hi float64, hiClosed bool, lo float64, loClosed bool) bool {
 	return hiClosed || loClosed
 }
 
-// soleIntervalAttr finds the single numeric attribute the conjunction
-// constrains, requiring a consistent, satisfiable conjunction and no
-// equality-only point constraints mixed with categorical context. ok is
-// false when zero or several numeric attributes are constrained.
-func soleIntervalAttr(c Conjunction) (int, bool) {
-	s := c.summarize()
+// soleIntervalAttr finds the single numeric attribute the summarized
+// conjunction constrains, requiring a consistent, satisfiable conjunction.
+// ok is false when zero or several numeric attributes are constrained.
+func (s summary) soleIntervalAttr() (int, bool) {
 	if s.contradict || len(s.numeric) != 1 {
 		return 0, false
 	}

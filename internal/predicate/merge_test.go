@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -135,5 +136,44 @@ func TestMergeAdjacentPreservesSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// edgeConj draws a conjunction of up to four predicates over numeric
+// attributes 0–1 and categorical attributes 2–3. Constants come from a small
+// pool, so shared and touching endpoints are common: Eq points, open and
+// closed ends, ±Inf and NaN constants, and categorical context.
+func edgeConj(rng *rand.Rand) Conjunction {
+	consts := []float64{math.Inf(-1), -1, 0, 0.5, 1, 2, math.Inf(1), math.NaN()}
+	ops := []Op{Eq, Gt, Ge, Lt, Le}
+	var c Conjunction
+	for n := rng.Intn(5); n > 0; n-- {
+		if rng.Intn(4) == 0 {
+			c.Preds = append(c.Preds, StrPred(2+rng.Intn(2), []string{"a", "b"}[rng.Intn(2)]))
+			continue
+		}
+		c.Preds = append(c.Preds, NumPred(rng.Intn(2), ops[rng.Intn(len(ops))], consts[rng.Intn(len(consts))]))
+	}
+	return c
+}
+
+// TestSummaryDisjointMatchesConcatenation: deciding a disjunct pair from
+// the two summaries agrees with summarizing the concatenated conjunction,
+// the test crossGroupsDisjoint makes for every cross-group pair.
+func TestSummaryDisjointMatchesConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	disjoint := 0
+	for i := 0; i < 50000; i++ {
+		a, b := edgeConj(rng), edgeConj(rng)
+		want := Conjunction{Preds: append(append([]Predicate(nil), a.Preds...), b.Preds...)}.Unsatisfiable()
+		if got := a.summarize().disjoint(b.summarize()); got != want {
+			t.Fatalf("disjoint(%v, %v) = %v, concatenation unsatisfiable = %v", a, b, got, want)
+		}
+		if want {
+			disjoint++
+		}
+	}
+	if disjoint < 10000 || disjoint > 40000 {
+		t.Fatalf("%d of 50000 pairs disjoint: the draw does not exercise both outcomes", disjoint)
 	}
 }

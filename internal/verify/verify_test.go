@@ -150,8 +150,9 @@ func kernelFixture() *dataset.Relation {
 }
 
 // TestKernelOracleCatchesWrongSide: the node comparison must report a child
-// missing its last row and an SSE one ulp off, naming the node and the
-// predicate.
+// missing its last row, a numeric group that does not partition the part
+// (even when the reference agrees), groups out of the reference's order
+// and an SSE one ulp off, naming the node and the predicate.
 func TestKernelOracleCatchesWrongSide(t *testing.T) {
 	rel := kernelFixture()
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
@@ -159,18 +160,29 @@ func TestKernelOracleCatchesWrongSide(t *testing.T) {
 	gt := predicate.NumPred(0, predicate.Gt, 4.5)
 	sse := tupleSSE(rel, rows, 1)
 	good := [][]core.SplitChild{{{Pred: le, Rows: rows[:5]}, {Pred: gt, Rows: rows[5:]}}}
-	if d := checkNode(rel, 1, 3, "⊤", rows, sse, good); d != "" {
+	if d := checkNode(rel, 1, 3, "⊤", rows, sse, good, good); d != "" {
 		t.Fatalf("agreeing node reported: %s", d)
 	}
 
 	dropped := [][]core.SplitChild{{{Pred: le, Rows: rows[:4]}, {Pred: gt, Rows: rows[5:]}}}
-	d := checkNode(rel, 1, 3, "⊤", rows, sse, dropped)
+	d := checkNode(rel, 1, 3, "⊤", rows, sse, dropped, good)
 	if !strings.Contains(d, "node 3") || !strings.Contains(d, le.String()) {
 		t.Fatalf("dropped row not reported with node and predicate: %q", d)
 	}
+	d = checkNode(rel, 1, 4, "⊤", rows, sse, dropped, dropped)
+	if !strings.Contains(d, "node 4") || !strings.Contains(d, "selects 9 of 10 rows") {
+		t.Fatalf("numeric group missing a row not reported as a broken partition: %q", d)
+	}
+
+	le2, gt2 := predicate.NumPred(0, predicate.Le, 2.5), predicate.NumPred(0, predicate.Gt, 2.5)
+	other := []core.SplitChild{{Pred: le2, Rows: rows[:3]}, {Pred: gt2, Rows: rows[3:]}}
+	d = checkNode(rel, 1, 5, "⊤", rows, sse, [][]core.SplitChild{other, good[0]}, [][]core.SplitChild{good[0], other})
+	if !strings.Contains(d, "node 5") || !strings.Contains(d, "reference "+le.String()) {
+		t.Fatalf("groups out of the reference order not reported: %q", d)
+	}
 
 	cond := "⊤ ∧ " + gt.String()
-	d = checkNode(rel, 1, 7, cond, rows, math.Nextafter(sse, math.Inf(1)), nil)
+	d = checkNode(rel, 1, 7, cond, rows, math.Nextafter(sse, math.Inf(1)), nil, nil)
 	if !strings.Contains(d, "node 7") || !strings.Contains(d, gt.String()) || !strings.Contains(d, "SSE") {
 		t.Fatalf("SSE one ulp off not reported with node and predicate: %q", d)
 	}
