@@ -92,3 +92,44 @@ func TestDiscoverColumnsRejectsTuplePaths(t *testing.T) {
 		t.Fatalf("nil columns: err = %v, want ErrEmptyRelation", err)
 	}
 }
+
+// tiedRunsRelation is electricity data in the shape of a column store:
+// chunks of rows each generated on its own from seed 1<<20 + i, as the
+// store builder writes them, so Time restarts at every chunk and each Time
+// value recurs once per chunk. A cut bucket then holds many tied rows.
+func tiedRunsRelation(chunks, rows int) *dataset.Relation {
+	var rel *dataset.Relation
+	for i := 0; i < chunks; i++ {
+		cfg := dataset.DefaultElectricityConfig()
+		cfg.Rows, cfg.Seed = rows, 1<<20+int64(i)
+		chunk := dataset.GenerateElectricity(cfg)
+		if rel == nil {
+			rel = dataset.NewRelation(chunk.Schema)
+		}
+		for _, tp := range chunk.Tuples {
+			rel.MustAppend(tp)
+		}
+	}
+	return rel
+}
+
+// BenchmarkDiscoverTiedRuns is the discovery of discover-ooc-electricity at
+// an eighth of its rows: 262,144 electricity rows in four 65,536-row
+// chunks, Binary-16 on Time, ρ 0.5, through DiscoverColumns.
+func BenchmarkDiscoverTiedRuns(b *testing.B) {
+	cs := dataset.NewColumnSet(tiedRunsRelation(4, 1<<16))
+	cfg := core.DiscoverConfig{
+		XAttrs:  []int{0},
+		YAttr:   1,
+		RhoM:    0.5,
+		Preds:   predicate.GenerateColumns(cs, []int{0}, predicate.GeneratorConfig{Kind: predicate.Binary, Size: 16}),
+		Trainer: regress.LinearTrainer{},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DiscoverColumns(context.Background(), cs, core.WithConfig(cfg)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

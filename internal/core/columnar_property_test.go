@@ -254,7 +254,9 @@ func TestExplainViewParity(t *testing.T) {
 // rows, fallback, part SSE, split children) must match tuple-at-a-time
 // references bitwise along the best-split tree under a randomized predicate
 // space, nulls included — in a categorical condition attribute too, so
-// categorical fans meet null cells.
+// categorical fans meet null cells. The last input has the out-of-core
+// shape: electricity chunks whose Time restarts, so cut buckets hold many
+// tied rows, under Binary-16 and under the default space.
 func TestDiscoveryKernelsVsTuples(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
@@ -275,6 +277,27 @@ func TestDiscoveryKernelsVsTuples(t *testing.T) {
 				YAttr:   spec.YAttr,
 				RhoM:    spec.RhoM,
 				Preds:   preds,
+				Trainer: regress.LinearTrainer{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if detail != "" {
+				t.Fatal(detail)
+			}
+		})
+	}
+	rel := tiedRunsRelation(4, 2048)
+	for _, space := range []struct {
+		name string
+		cfg  predicate.GeneratorConfig
+	}{{"binary16", predicate.GeneratorConfig{Kind: predicate.Binary, Size: 16}}, {"default", predicate.GeneratorConfig{}}} {
+		t.Run("ElectricityTiedRuns/"+space.name, func(t *testing.T) {
+			detail, err := verify.KernelsVsTuples(context.Background(), rel, core.DiscoverConfig{
+				XAttrs:  []int{0},
+				YAttr:   1,
+				RhoM:    0.5,
+				Preds:   predicate.Generate(rel, []int{0}, space.cfg),
 				Trainer: regress.LinearTrainer{},
 			})
 			if err != nil {
@@ -382,5 +405,92 @@ func TestDiscoverCoversNullAndNaNConditionCells(t *testing.T) {
 				t.Fatal(detail)
 			}
 		})
+	}
+}
+
+// nonFiniteRow is the row nonFiniteRelation poisons.
+const nonFiniteRow = 123
+
+// nonFiniteRelation is 400 rows of Y = 2X + U(0, 1) with a numeric
+// condition C = i mod 40, where row nonFiniteRow holds v in column col (0
+// is X, 1 is Y).
+func nonFiniteRelation(col int, v float64) *dataset.Relation {
+	rel := dataset.NewRelation(dataset.MustSchema(
+		dataset.Attribute{Name: "X", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "Y", Kind: dataset.Numeric},
+		dataset.Attribute{Name: "C", Kind: dataset.Numeric},
+	))
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 400; i++ {
+		x := 10 * rng.Float64()
+		tp := dataset.Tuple{dataset.Num(x), dataset.Num(2*x + rng.Float64()), dataset.Num(float64(i % 40))}
+		if i == nonFiniteRow {
+			tp[col] = dataset.Num(v)
+		}
+		rel.MustAppend(tp)
+	}
+	return rel
+}
+
+// TestDiscoverSkipsNonFiniteCells: a NaN or ±Inf X or Y cell can be neither
+// fit nor checked, so its row is not trainable. At the parent one NaN Y
+// made every engine return a single ⊤ rule with NaN weights, ρ 0 and a NaN
+// fallback, +Inf Y the same with an infinite fallback, and one NaN X failed
+// the run with a singular matrix. Every weight, ρ and fallback must be
+// finite, and every other row covered and held.
+func TestDiscoverSkipsNonFiniteCells(t *testing.T) {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, poison := range []struct {
+		name string
+		col  int
+		v    float64
+	}{{"NaN-Y", 1, math.NaN()}, {"Inf-Y", 1, math.Inf(1)}, {"NaN-X", 0, math.NaN()}, {"-Inf-X", 0, math.Inf(-1)}} {
+		rel := nonFiniteRelation(poison.col, poison.v)
+		cs := dataset.NewColumnSet(rel)
+		cfg := core.DiscoverConfig{
+			XAttrs:  []int{0},
+			YAttr:   1,
+			RhoM:    0.3,
+			Preds:   predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{}),
+			Trainer: regress.LinearTrainer{},
+		}
+		for _, engine := range []struct {
+			name string
+			opt  core.DiscoverOption
+		}{
+			{"sequential", core.WithWorkers(1)},
+			{"parallel", core.WithWorkers(2)},
+			{"growprune", core.WithStrategy(induction.GrowPrune{})},
+		} {
+			t.Run(poison.name+"/"+engine.name, func(t *testing.T) {
+				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), engine.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rules := res.Rules
+				if !finite(rules.Fallback) {
+					t.Fatalf("fallback %v", rules.Fallback)
+				}
+				for ri, r := range rules.Rules {
+					w := r.Model.(*regress.Linear).W
+					for _, v := range append([]float64{r.Rho}, w...) {
+						if !finite(v) {
+							t.Fatalf("rule %d: ρ %v, weights %v", ri, r.Rho, w)
+						}
+					}
+				}
+				_, covered := rules.PredictView(cs.View())
+				for row, ok := range covered {
+					if !ok && row != nonFiniteRow {
+						t.Fatalf("row %d is not covered", row)
+					}
+				}
+				for _, v := range core.ViolationsColumns(cs, rules) {
+					if v.TupleIndex != nonFiniteRow {
+						t.Fatalf("row %d violates rule %d: |%v − %v| > ρ", v.TupleIndex, v.RuleIndex, v.Observed, v.Predicted)
+					}
+				}
+			})
+		}
 	}
 }

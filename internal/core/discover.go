@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,8 +207,9 @@ func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
 
 // discoverPrep validates cfg against the run's columns and builds the shared
 // discovery prelude: effective MinSupport/MaxNodes, the trainable row indices
-// (rows with non-null X and Y — null rows cannot be fit or checked and are
-// the imputation targets, not the training data) and the mean-of-Y fallback.
+// (rows whose X and Y cells are all non-null and finite — null rows are the
+// imputation targets, not the training data, and a NaN or ±Inf cell can be
+// neither fit nor checked) and the mean-of-Y fallback over them.
 func discoverPrep(cols *dataset.ColumnSet, cfg *DiscoverConfig) (all []int, fallback float64, err error) {
 	if cfg.Trainer == nil {
 		return nil, 0, ErrNoTrainer
@@ -235,14 +235,18 @@ func discoverPrep(cols *dataset.ColumnSet, cfg *DiscoverConfig) (all []int, fall
 		cfg.MaxNodes = 64*rows + 4096
 	}
 
+	trainable := func(a, i int) bool {
+		v := cols.Float(a)[i]
+		return !cols.IsNull(a, i) && !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
 	all = make([]int, 0, rows)
 rows:
 	for i := 0; i < rows; i++ {
-		if cols.IsNull(cfg.YAttr, i) {
+		if !trainable(cfg.YAttr, i) {
 			continue
 		}
 		for _, a := range cfg.XAttrs {
-			if cols.IsNull(a, i) {
+			if !trainable(a, i) {
 				continue rows
 			}
 		}
@@ -417,8 +421,8 @@ func latticeSeq(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
 		if len(item.idxs) == 0 {
 			continue
 		}
-		x, y := ws.part(item.idxs)
-		model, _, err := ws.trainPart(item, x, y)
+		p := ws.part(item.idxs)
+		model, _, err := ws.trainPart(item, p)
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +430,7 @@ func latticeSeq(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
 		out.Stats.ForcedRules++
 		tel.trained.Inc()
 		tel.forced.Inc()
-		emit(model, regress.MaxAbsError(model, x, y), item.conj)
+		emit(model, ws.scanner.MaxAbs(model, p), item.conj)
 	}
 	return out, nil
 }
@@ -471,20 +475,30 @@ type childPart struct {
 }
 
 // splitIndex precomputes, once per discovery, the usable split structure of
-// the predicate space ℙ: per-attribute sorted numeric cuts (usable when both
-// the > and ≤ predicates exist, so children partition D_C) and per-attribute
-// categorical equality fans.
+// the predicate space ℙ: per numeric attribute its sorted cuts (usable when
+// both the > and ≤ predicates exist, so children partition D_C) with the
+// run's rank lane, and per-attribute categorical equality fans. It is built
+// before any worker starts and is read-only afterwards, so workers share it.
 type splitIndex struct {
-	numAttrs  []int             // numeric attributes with usable cuts, sorted
-	cuts      map[int][]float64 // attr → sorted usable cut constants
-	catOrder  []int             // categorical attributes, sorted
+	num       []numSplit // numeric attributes with usable cuts, by attribute
+	buckets   int        // the most cut buckets any numeric attribute has
+	catOrder  []int      // categorical attributes, sorted
 	catPreds  map[int][]predicate.Predicate
 	catValues map[int]map[string]bool
 }
 
-func newSplitIndex(preds []predicate.Predicate) *splitIndex {
+// numSplit is one numeric attribute's usable cuts and rank lane.
+type numSplit struct {
+	attr  int
+	cuts  []float64 // ascending
+	ranks []int32   // per row of the run's columns: see rankLane
+}
+
+// noRank marks a null or NaN cell in a rank lane: no cut pair selects it.
+const noRank = -1
+
+func newSplitIndex(preds []predicate.Predicate, cols *dataset.ColumnSet) *splitIndex {
 	si := &splitIndex{
-		cuts:      make(map[int][]float64),
 		catPreds:  make(map[int][]predicate.Predicate),
 		catValues: make(map[int]map[string]bool),
 	}
@@ -523,16 +537,34 @@ func newSplitIndex(preds []predicate.Predicate) *splitIndex {
 		}
 		if len(cuts) > 0 {
 			sort.Float64s(cuts)
-			si.cuts[a] = cuts
-			si.numAttrs = append(si.numAttrs, a)
+			si.num = append(si.num, numSplit{attr: a, cuts: cuts, ranks: rankLane(cols, a, cuts)})
+			si.buckets = max(si.buckets, len(cuts)+1)
 		}
 	}
-	sort.Ints(si.numAttrs)
+	sort.Slice(si.num, func(i, j int) bool { return si.num[i].attr < si.num[j].attr })
 	for a := range si.catPreds {
 		si.catOrder = append(si.catOrder, a)
 	}
 	sort.Ints(si.catOrder)
 	return si
+}
+
+// rankLane maps each row's cell on attr to its cut bucket, the first cut ≥
+// the value (sort.SearchFloat64s), so a row lies at or below cut j exactly
+// when its rank is ≤ j. ±Inf fall into the end buckets; a null or NaN cell
+// gets noRank. The lane costs 4 bytes per row.
+func rankLane(cols *dataset.ColumnSet, attr int, cuts []float64) []int32 {
+	col, nulls := cols.Float(attr), cols.Nulls(attr)
+	lane := make([]int32, cols.Len())
+	for i := range lane {
+		v := col[i]
+		if v != v || nulls != nil && nulls[i>>6]&(1<<(uint(i)&63)) != 0 {
+			lane[i] = noRank
+			continue
+		}
+		lane[i] = int32(sort.SearchFloat64s(cuts, v))
+	}
+	return lane
 }
 
 // partScan is the per-discovery scan engine: predicate filtering and SSE
@@ -604,25 +636,10 @@ func offerSplit(best []splitCandidate, k int, c splitCandidate) []splitCandidate
 	return best
 }
 
-// valueY is one part row as the numeric split scorer sees it: the row's
-// value on the split attribute and its target.
-type valueY struct{ v, y float64 }
-
-// sortByValue sorts part rows by value with slices.SortFunc, the same
-// generated pdqsort sort.Slice runs. pdqsort reads only whether the
-// comparator is negative, and that is exactly a.v < b.v — the comparisons
-// sort.Slice makes in the reference scorer (internal/verify) — so rows with
-// equal values land in the same order and the running sums keep their bits.
-func sortByValue(pairs []valueY) {
-	slices.SortFunc(pairs, func(a, b valueY) int {
-		if a.v < b.v {
-			return -1
-		}
-		if b.v < a.v {
-			return 1
-		}
-		return 0
-	})
+// cutBucket sums the part rows of one cut bucket: their count, Σy and Σy².
+type cutBucket struct {
+	n       int
+	sum, sq float64
 }
 
 // sumsSSE is Σ (y − ȳ)² of cnt rows from their Σy and Σy².
@@ -643,11 +660,16 @@ func sumsSSE(sum, sq float64, cnt int) float64 {
 // drop such cells from both sides), and a categorical fan must cover every
 // value present.
 //
-// Numeric scoring sorts the part once per attribute, then sweeps the cuts
-// strictly inside the part's value range with one pointer and running sums
-// of y and y²; a running selection keeps the k best, so no candidate list
-// is built or sorted. The paper's default predicate space (a cut at every
-// domain value) stays affordable.
+// Numeric scoring reads the run's rank lanes: one pass over the part drops
+// each row's y into its cut bucket, and a sweep over the buckets between
+// the part's lowest and highest rank — the cuts in [min, max) of its values
+// — scores every cut from running sums of y and y², so nothing is sorted. A
+// running selection keeps the k best, so no candidate list is built either.
+// The paper's default predicate space (a cut at every domain value) stays
+// affordable. A bucket sums its rows in part order, so a gain keeps the bits
+// of a sorted sweep exactly when every bucket holds at most one row (the
+// default space over distinct values); ties or a sparse space can move it
+// by ulps, while the chosen splits stay those of the reference scorer.
 func (ws *partWorkspace) topSplits(idxs []int, k int) [][]childPart {
 	if len(idxs) == 0 || k < 1 {
 		return nil
@@ -656,59 +678,53 @@ func (ws *partWorkspace) topSplits(idxs []int, k int) [][]childPart {
 	sc, si, yattr := hl.sc, hl.si, hl.cfg.YAttr
 	total := sc.sse(idxs, yattr)
 	best := ws.best[:0]
+	if len(ws.buckets) < si.buckets {
+		ws.buckets = make([]cutBucket, si.buckets)
+	}
 
-	for _, a := range si.numAttrs {
-		col, nulls := sc.cols.Float(a), sc.cols.Nulls(a)
-		pairs := ws.pairs[:0]
-		lo, hi := math.Inf(1), math.Inf(-1)
+	for _, ns := range si.num {
+		buckets, ranks := ws.buckets, ns.ranks
+		lo, hi := int32(len(ns.cuts)), int32(-1) // lowest and highest rank
 		applicable := true
 		for _, ti := range idxs {
-			v := col[ti]
-			if v != v || nulls != nil && nulls[ti>>6]&(1<<(uint(ti)&63)) != 0 {
+			r := ranks[ti]
+			if r == noRank {
 				applicable = false
 				break
 			}
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			pairs = append(pairs, valueY{v, hl.ycol[ti]})
+			lo, hi = min(lo, r), max(hi, r)
+			y := hl.ycol[ti]
+			b := &buckets[r]
+			b.n++
+			b.sum += y
+			b.sq += y * y
 		}
-		ws.pairs = pairs
-		if !applicable {
+		touched := buckets[lo:max(lo, hi+1)]
+		if !applicable || lo == hi {
+			// A null or NaN cell: the pair would not partition the part. One
+			// rank: no cut lies in the part's [min, max).
+			clear(touched)
 			continue
 		}
-		// Only cuts in [min, max) of the part's values split it; pruning to
-		// that window keeps per-node cost proportional to the part, not to
-		// the global predicate space.
-		cuts := si.cuts[a]
-		loCut, hiCut := sort.SearchFloat64s(cuts, lo), sort.SearchFloat64s(cuts, hi)
-		if loCut == hiCut {
-			continue
-		}
-		sortByValue(pairs)
 		var t1, t2 float64
-		for _, p := range pairs {
-			t1 += p.y
-			t2 += p.y * p.y
+		for _, b := range touched {
+			t1 += b.sum
+			t2 += b.sq
 		}
-		n := len(pairs)
-		var s1, s2 float64 // Σy, Σy² of pairs[:pos]
-		pos := 0
-		for _, c := range cuts[loCut:hiCut] {
-			for pos < n && pairs[pos].v <= c {
-				s1 += pairs[pos].y
-				s2 += pairs[pos].y * pairs[pos].y
-				pos++
-			}
-			// min ≤ c < max, so both sides are non-empty.
-			gain := total - sumsSSE(s1, s2, pos) - sumsSSE(t1-s1, t2-s2, n-pos)
+		n := len(idxs)
+		var s1, s2 float64 // Σy, Σy² of the rows at or below cut j
+		below := 0
+		for j := lo; j < hi; j++ {
+			s1 += buckets[j].sum
+			s2 += buckets[j].sq
+			below += buckets[j].n
+			// lo ≤ j < hi, so both sides are non-empty.
+			gain := total - sumsSSE(s1, s2, below) - sumsSSE(t1-s1, t2-s2, n-below)
 			if gain > 0 {
-				best = offerSplit(best, k, splitCandidate{gain: gain, numeric: true, attr: a, cut: c, below: pos})
+				best = offerSplit(best, k, splitCandidate{gain: gain, numeric: true, attr: ns.attr, cut: ns.cuts[j], below: below})
 			}
 		}
+		clear(touched)
 	}
 
 	// Categorical fans.

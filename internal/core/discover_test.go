@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -329,30 +330,33 @@ func TestQueueOrderString(t *testing.T) {
 	}
 }
 
-// splitProbe is a strategy that asks the substrate for the k best splits
-// of the trainable rows, or of an empty part when empty is set.
+// splitProbe is a strategy that asks one substrate for the k best splits of
+// each of its parts in turn, keeping the last result. With no parts it asks
+// for those of the trainable rows.
 type splitProbe struct {
 	k      int
-	empty  bool
+	parts  [][]int
 	groups [][]SplitChild
 }
 
 func (*splitProbe) Name() string { return "split-probe" }
 
 func (s *splitProbe) Induce(_ context.Context, sub *Substrate) (*DiscoverResult, error) {
-	rows := sub.TrainableRows()
-	if s.empty {
-		rows = nil
+	parts := s.parts
+	if parts == nil {
+		parts = [][]int{sub.TrainableRows()}
 	}
-	s.groups = sub.TopSplits(rows, s.k)
+	for _, rows := range parts {
+		s.groups = sub.TopSplits(rows, s.k)
+	}
 	return sub.NewResult(), nil
 }
 
-// TestTopSplitsEmptyPart: an empty part has no split; TopSplits returns nil
-// instead of indexing into an empty sort.
+// TestTopSplitsEmptyPart: an empty part has no split, so TopSplits returns
+// nil.
 func TestTopSplitsEmptyPart(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 7)
-	s := &splitProbe{k: 1, empty: true}
+	s := &splitProbe{k: 1, parts: [][]int{nil}}
 	if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
 		t.Fatal(err)
 	}
@@ -428,35 +432,73 @@ func TestTopSplitsTiedGains(t *testing.T) {
 	}
 }
 
-// TestSplitSortMatchesSortSlice: the split scorer sorts (value, y) pairs
-// with sortByValue, the reference scorer in internal/verify an index
-// permutation with sort.Slice. Rows with equal
-// values must land in the same order under both, or the running sums, the
-// gains and the mined rules drift by ulps. The inputs carry many ties, both
-// shuffled and in runs that restart, as a time column does across the
-// chunks of a column store.
-func TestSplitSortMatchesSortSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{5, 13, 50, 1000, 70000} {
-		for _, runs := range []bool{false, true} {
-			vals := make([]float64, n)
-			pairs := make([]valueY, n)
-			order := make([]int, n)
-			for i := range vals {
-				vals[i] = float64(rng.Intn(n/20 + 1))
-				if runs {
-					vals[i] = float64(i % (n/20 + 1))
+// TestTopSplitsClearsBucketsOnEarlyStop: the numeric scorer's cut buckets
+// are workspace scratch that must be all zero between calls. A part whose
+// last row holds a null or NaN condition cell fills buckets before the
+// scan stops; the clean part scored next on the same substrate must then
+// get the groups a fresh substrate gives it. Even and odd rows step at
+// different A, so leftover even-row sums would move the odd part's cuts.
+func TestTopSplitsClearsBucketsOnEarlyStop(t *testing.T) {
+	for _, gap := range []struct {
+		name string
+		cell dataset.Value
+	}{{"null", dataset.Null()}, {"NaN", dataset.Num(math.NaN())}} {
+		t.Run(gap.name, func(t *testing.T) {
+			rel := dataset.NewRelation(dataset.MustSchema(
+				dataset.Attribute{Name: "A", Kind: dataset.Numeric},
+				dataset.Attribute{Name: "X", Kind: dataset.Numeric},
+				dataset.Attribute{Name: "Y", Kind: dataset.Numeric},
+			))
+			var dirty, clean []int
+			for i := 0; i < 201; i++ {
+				a, step := float64(i/2), 20.0
+				if i%2 == 0 {
+					step = 70
+					dirty = append(dirty, i)
+				} else {
+					clean = append(clean, i)
 				}
-				pairs[i] = valueY{vals[i], float64(i)}
-				order[i] = i
-			}
-			sort.Slice(order, func(i, j int) bool { return vals[order[i]] < vals[order[j]] })
-			sortByValue(pairs)
-			for i, oi := range order {
-				if int(pairs[i].y) != oi {
-					t.Fatalf("n=%d runs=%v: position %d holds row %d, sort.Slice puts row %d", n, runs, i, int(pairs[i].y), oi)
+				y := 0.0
+				if a > step {
+					y = 10
 				}
+				cell := dataset.Num(a)
+				if i == 200 {
+					cell = gap.cell
+				}
+				rel.MustAppend(dataset.Tuple{cell, dataset.Num(float64(i % 7)), dataset.Num(y + float64(i%3))})
 			}
-		}
+			cfg := DiscoverConfig{
+				XAttrs:  []int{1},
+				YAttr:   2,
+				RhoM:    0.1,
+				Preds:   predicate.Generate(rel, []int{0}, predicate.GeneratorConfig{}),
+				Trainer: regress.LinearTrainer{},
+			}
+			probe := func(parts ...[]int) [][]SplitChild {
+				s := &splitProbe{k: 5, parts: parts}
+				if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithStrategy(s)); err != nil {
+					t.Fatal(err)
+				}
+				return s.groups
+			}
+			if g := probe(dirty); g != nil {
+				t.Fatalf("the part with a %s cell splits on A: %v", gap.name, g)
+			}
+			want := probe(clean)
+			if len(want) == 0 {
+				t.Fatal("the clean part has no split")
+			}
+			if got := probe(dirty, clean); !reflect.DeepEqual(got, want) {
+				cuts := func(groups [][]SplitChild) []string {
+					var out []string
+					for _, g := range groups {
+						out = append(out, g[0].Pred.String())
+					}
+					return out
+				}
+				t.Fatalf("after the %s part the clean part splits at %v, on a fresh substrate at %v", gap.name, cuts(got), cuts(want))
+			}
+		})
 	}
 }

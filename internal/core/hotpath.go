@@ -8,12 +8,14 @@ package core
 // from-scratch OLS fit of Line 13. This file removes all three:
 //
 //   - the run's dataset.ColumnSet (built once per run) holds the X
-//     and Y columns contiguously, so queue pops gather dense column values
-//     instead of walking dataset tuples, and part materialization runs
-//     through the vectorized predicate filters;
-//   - regress.ShareScanner computes each model's residual envelope and fit
-//     fraction in a single sweep, returning the Proposition-6 share hit and
-//     ind(C) together;
+//     and Y columns contiguously, so queue pops gather each X lane and Y of
+//     the part into contiguous column-major buffers (a regress.Part, with no
+//     per-row slice headers), and part materialization runs through the
+//     vectorized predicate filters;
+//   - regress.ShareScanner computes each model's residuals lane by lane
+//     (its Residuals kernel) and reads the residual envelope and fit
+//     fraction off them, returning the Proposition-6 share hit and ind(C)
+//     together; the ρ check of a fresh model reads the same kernel;
 //   - queue items carry regress.Gram sufficient statistics, accumulated when
 //     a split's children are materialized (the largest child for free as
 //     parent − siblings), so Line-13 training is an O(d³) normal-equation
@@ -36,8 +38,8 @@ import (
 // hotLoop is the shared, read-only state of one discovery run's hot path.
 // Workers share it; per-worker scratch lives in partWorkspace. Parts are
 // materialized and scored against the run's ColumnSet (sc.cols); trainable
-// rows have non-null X and Y, so per-node access is a dense column gather
-// with no null checks.
+// rows have non-null, finite X and Y, so per-node access is a dense column
+// gather with no null checks.
 type hotLoop struct {
 	cfg   *DiscoverConfig
 	si    *splitIndex
@@ -117,52 +119,75 @@ func (hl *hotLoop) workspace() *partWorkspace {
 	return &partWorkspace{loop: hl}
 }
 
-// partWorkspace is one worker's reusable scratch: the gathered part rows,
-// the share scanner's residual buffer and the split scorer's sort and
-// selection buffers. Steady-state node evaluation does not allocate. The
-// gathered x rows live in the workspace's flat backing buffer and are
-// recycled on the next gather, so trainers must not retain x beyond Train
-// (the built-in families copy or consume it inside the call).
+// partWorkspace is one worker's reusable scratch: the gathered part lanes,
+// the share scanner's residual buffer, the split scorer's cut buckets and
+// running top-k, and the row-major design of a full-pass fit. Steady-state
+// node evaluation does not allocate. Every buffer is recycled on the next
+// node, so trainers must not retain the design beyond Train (the built-in
+// families copy or consume it inside the call).
 type partWorkspace struct {
 	loop    *hotLoop
-	flat    []float64 // row-major gather backing, reused across nodes
-	x       [][]float64
-	y       []float64
+	lanes   []float64   // column-major gather backing: the X lanes, then Y
+	xs      [][]float64 // the part's X lane headers, one per X attribute
 	scanner regress.ShareScanner
-	pairs   []valueY         // topSplits: the part sorted by one attribute
+	buckets []cutBucket      // topSplits: per-bucket sums, all zero between calls
 	best    []splitCandidate // topSplits: the running top-k
+	rows    []float64        // design: row-major backing
+	design  [][]float64      // design: row headers
 }
 
-// part gathers a part's feature rows and targets from the dense columns — a
-// View gather assembled row-major for the trainers.
-func (ws *partWorkspace) part(idxs []int) ([][]float64, []float64) {
+// part gathers a part's X lanes and targets from the dense columns into the
+// workspace's contiguous column-major buffers.
+func (ws *partWorkspace) part(idxs []int) regress.Part {
 	hl := ws.loop
-	dim := hl.dim
-	if cap(ws.flat) < len(idxs)*dim {
-		ws.flat = make([]float64, len(idxs)*dim)
+	n := len(idxs)
+	if cap(ws.lanes) < (hl.dim+1)*n {
+		ws.lanes = make([]float64, (hl.dim+1)*n)
 	}
-	if cap(ws.x) < len(idxs) {
-		ws.x = make([][]float64, len(idxs))
-		ws.y = make([]float64, len(idxs))
+	if ws.xs == nil {
+		ws.xs = make([][]float64, hl.dim)
 	}
-	flat, x, y := ws.flat[:len(idxs)*dim], ws.x[:len(idxs)], ws.y[:len(idxs)]
-	for i, ti := range idxs {
-		row := flat[i*dim : (i+1)*dim : (i+1)*dim]
-		for j, col := range hl.xcols {
-			row[j] = col[ti]
+	for j, col := range hl.xcols {
+		lane := ws.lanes[j*n : (j+1)*n : (j+1)*n]
+		for i, ti := range idxs {
+			lane[i] = col[ti]
 		}
-		x[i] = row
+		ws.xs[j] = lane
+	}
+	y := ws.lanes[hl.dim*n : (hl.dim+1)*n]
+	for i, ti := range idxs {
 		y[i] = hl.ycol[ti]
 	}
 	hl.tel.cacheHits.Inc()
-	return x, y
+	return regress.Part{X: ws.xs, Y: y}
+}
+
+// rowMajor lays p out row-major in workspace scratch: the [][]float64
+// design a full-pass Train reads. Only the full pass needs it.
+func (ws *partWorkspace) rowMajor(p regress.Part) [][]float64 {
+	n, dim := p.Len(), len(p.X)
+	if cap(ws.rows) < n*dim {
+		ws.rows = make([]float64, n*dim)
+	}
+	if cap(ws.design) < n {
+		ws.design = make([][]float64, n)
+	}
+	design := ws.design[:n]
+	for i := range design {
+		row := ws.rows[i*dim : (i+1)*dim : (i+1)*dim]
+		for j, lane := range p.X {
+			row[j] = lane[i]
+		}
+		design[i] = row
+	}
+	return design
 }
 
 // trainPart runs Line 13 for one part: the Gram fast path when the item
 // carries statistics the trainer can consume, the exact full-pass fit
-// otherwise (including the QR/jitter handling of degenerate parts, which
-// needs the design matrix).
-func (ws *partWorkspace) trainPart(item *condItem, x [][]float64, y []float64) (regress.Model, bool, error) {
+// otherwise (the MLP, and the QR/jitter handling of degenerate parts), over
+// a row-major design built only then.
+func (ws *partWorkspace) trainPart(item *condItem, p regress.Part) (regress.Model, bool, error) {
 	hl := ws.loop
 	start := time.Now()
 	if hl.gram != nil && item.gram != nil {
@@ -173,10 +198,10 @@ func (ws *partWorkspace) trainPart(item *condItem, x [][]float64, y []float64) (
 		}
 		// Singular or degenerate statistics: fall through to the full pass.
 	}
-	m, err := hl.cfg.Trainer.Train(x, y)
+	m, err := hl.cfg.Trainer.Train(ws.rowMajor(p), p.Y)
 	hl.tel.trainTime.Observe(time.Since(start))
 	if err != nil {
-		return nil, false, fmt.Errorf("core: training on %d tuples: %w", len(x), err)
+		return nil, false, fmt.Errorf("core: training on %d tuples: %w", p.Len(), err)
 	}
 	return m, false, nil
 }
@@ -210,14 +235,14 @@ type childItem struct {
 func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEval, error) {
 	hl := ws.loop
 	cfg := hl.cfg
-	x, y := ws.part(item.idxs)
+	p := ws.part(item.idxs)
 	var ev nodeEval
 
 	// Lines 7–10 and Line 12 in one sweep: the single-pass share scan
 	// returns the Proposition-6 hit and ind(C) together.
 	if !cfg.DisableSharing {
 		start := time.Now()
-		idx, res, ind, tried := ws.scanner.Scan(pool, x, y, cfg.RhoM)
+		idx, res, ind, tried := ws.scanner.Scan(pool, p, cfg.RhoM)
 		hl.tel.shareTime.Observe(time.Since(start))
 		hl.tel.shareTests.Add(int64(tried))
 		hl.tel.scanWidth.Observe(float64(tried))
@@ -232,19 +257,19 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 		// The ablation still orders the queue (and sizes Proposition 8
 		// splits) by ind(C), so Line 12 runs even with sharing off.
 		start := time.Now()
-		ev.ind = ws.scanner.Index(pool, x, y, cfg.RhoM)
+		ev.ind = ws.scanner.Index(pool, p, cfg.RhoM)
 		hl.tel.shareTime.Observe(time.Since(start))
 		hl.tel.shareTests.Add(int64(len(pool)))
 		hl.tel.scanWidth.Observe(float64(len(pool)))
 	}
 
 	// Line 13: train a new model.
-	model, _, err := ws.trainPart(item, x, y)
+	model, _, err := ws.trainPart(item, p)
 	if err != nil {
 		return ev, err
 	}
 	ev.model = model
-	ev.maxErr = regress.MaxAbsError(model, x, y)
+	ev.maxErr = ws.scanner.MaxAbs(model, p)
 	if ev.maxErr <= cfg.RhoM {
 		ev.accept = true
 		return ev, nil

@@ -203,12 +203,12 @@ func parWorker(ctx context.Context, hl *hotLoop, st *parState, out *DiscoverResu
 				// requires Σ to cover D, so abandoned parts are not an
 				// option. The expansion counter is checked and advanced
 				// under the lock, so it never exceeds MaxNodes.
-				x, y := ws.part(item.idxs)
-				model, _, err := ws.trainPart(item, x, y)
+				p := ws.part(item.idxs)
+				model, _, err := ws.trainPart(item, p)
 				if err != nil {
 					return err
 				}
-				emitPar(out, st, *cfg, model, regress.MaxAbsError(model, x, y), item.conj)
+				emitPar(out, st, *cfg, model, ws.scanner.MaxAbs(model, p), item.conj)
 				st.cond.L.Lock()
 				out.Stats.ModelsTrained++
 				out.Stats.ForcedRules++

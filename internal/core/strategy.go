@@ -62,11 +62,11 @@ type Substrate struct {
 	rel      *dataset.Relation  // nil when the run is column-store-backed
 	cols     *dataset.ColumnSet // the run's data, built once per run
 	cfg      *DiscoverConfig    // validated; MinSupport/MaxNodes defaulted
-	all      []int              // trainable rows (non-null X and Y), ascending
+	all      []int              // trainable rows (non-null, finite X and Y), ascending
 	fallback float64            // mean of Y over the trainable rows
 	tel      discTel
 
-	si      *splitIndex    // lazy
+	si      *splitIndex    // lazy, with the run's rank lanes
 	hotEx   *hotLoop       // lazy: exact (bitwise-reproducible) kernels
 	hotFast *hotLoop       // lazy: sibling-derivation Gram kernels
 	kws     *partWorkspace // lazy: scratch for the kernel methods
@@ -107,9 +107,11 @@ func (s *Substrate) NumRows() int { return s.cols.Len() }
 // SeedModels) are shared with the run — treat them as read-only.
 func (s *Substrate) Config() DiscoverConfig { return *s.cfg }
 
-// TrainableRows returns the indices of rows with non-null X and Y, in
-// ascending order — the rows Problem 1 requires Σ to cover. The slice is
-// shared with the run; treat it as read-only.
+// TrainableRows returns the indices of rows whose X and Y cells are all
+// non-null and finite, in ascending order — the rows Problem 1 requires Σ to
+// cover. A NaN or ±Inf cell can be neither fit nor checked, so such rows
+// are left out like null ones. The slice is shared with the run; treat it
+// as read-only.
 func (s *Substrate) TrainableRows() []int { return s.all }
 
 // NewResult returns a fresh result skeleton carrying the run's signature and
@@ -175,20 +177,19 @@ func (s *Substrate) TopSplits(idxs []int, k int) [][]SplitChild {
 // pass), the full-pass fit otherwise.
 func (s *Substrate) Fit(idxs []int) (regress.Model, error) {
 	ws := s.workspace()
-	x, y := ws.part(idxs)
 	item := &condItem{idxs: idxs}
 	if hl := s.hot(true); hl.gram != nil {
 		item.gram = hl.gramOf(idxs)
 	}
-	m, _, err := ws.trainPart(item, x, y)
+	m, _, err := ws.trainPart(item, ws.part(idxs))
 	return m, err
 }
 
 // MaxAbsError returns the model's maximum absolute residual over the
 // selected rows — the ρ-validation kernel.
 func (s *Substrate) MaxAbsError(m regress.Model, idxs []int) float64 {
-	x, y := s.workspace().part(idxs)
-	return regress.MaxAbsError(m, x, y)
+	ws := s.workspace()
+	return ws.scanner.MaxAbs(m, ws.part(idxs))
 }
 
 // GramOf accumulates the part's sufficient statistics in row order, or nil
@@ -207,14 +208,13 @@ func (s *Substrate) GramOf(idxs []int) *regress.Gram {
 // result for that model, and the sharing index ind(C).
 func (s *Substrate) ShareScan(pool []regress.Model, idxs []int) (int, regress.ShareResult, float64) {
 	ws := s.workspace()
-	x, y := ws.part(idxs)
-	hit, res, ind, _ := ws.scanner.Scan(pool, x, y, s.cfg.RhoM)
+	hit, res, ind, _ := ws.scanner.Scan(pool, ws.part(idxs), s.cfg.RhoM)
 	return hit, res, ind
 }
 
 func (s *Substrate) splitIdx() *splitIndex {
 	if s.si == nil {
-		s.si = newSplitIndex(s.cfg.Preds)
+		s.si = newSplitIndex(s.cfg.Preds, s.cols)
 	}
 	return s.si
 }

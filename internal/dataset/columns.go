@@ -196,14 +196,14 @@ func (cs *ColumnSet) IsNull(attr, row int) bool {
 	return b != nil && b[row>>6]&(1<<(uint(row)&63)) != 0
 }
 
-// Domain returns the sorted distinct non-null values of numeric column attr
-// — the columnar equivalent of Relation.Domain, used by predicate generation
-// when no Relation exists (out-of-core stores).
+// Domain returns the sorted distinct non-null, non-NaN values of numeric
+// column attr — the columnar equivalent of Relation.Domain, used by
+// predicate generation when no Relation exists (out-of-core stores).
 func (cs *ColumnSet) Domain(attr int) []float64 {
 	col := cs.num[attr]
 	seen := make(map[float64]struct{})
 	for i, v := range col {
-		if cs.IsNull(attr, i) {
+		if v != v || cs.IsNull(attr, i) {
 			continue
 		}
 		seen[v] = struct{}{}

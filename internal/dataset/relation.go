@@ -93,11 +93,13 @@ func (r *Relation) Column(idx int) []float64 {
 }
 
 // Domain returns the sorted distinct non-null numeric values of column idx.
+// NaN cells are skipped like null ones: NaN ≠ NaN, so a map would keep each
+// one as a distinct value, and no predicate on NaN selects a row.
 func (r *Relation) Domain(idx int) []float64 {
 	seen := make(map[float64]struct{})
 	for _, t := range r.Tuples {
-		if !t[idx].Null {
-			seen[t[idx].Num] = struct{}{}
+		if v := t[idx]; !v.Null && !math.IsNaN(v.Num) {
+			seen[v.Num] = struct{}{}
 		}
 	}
 	out := make([]float64, 0, len(seen))

@@ -116,3 +116,66 @@ func TestDNFImpliesNaN(t *testing.T) {
 		t.Error("clean DNF implied a NaN disjunct")
 	}
 }
+
+// TestNaNCellsStayOutOfDomains: a NaN cell is skipped like a null one. At
+// the parent a map kept each NaN as its own value, so the column below had
+// the domain [NaN NaN 1 … 8], the default space gained two pairs that
+// select nothing, and Binary-8 spent one of its four cuts on NaN.
+func TestNaNCellsStayOutOfDomains(t *testing.T) {
+	nan := math.NaN()
+	rel := dataset.NewRelation(dataset.MustSchema(dataset.Attribute{Name: "A0", Kind: dataset.Numeric}))
+	for _, v := range []float64{1, nan, 2, nan, 3, 4, 5, 6, 7, 8} {
+		rel.MustAppend(dataset.Tuple{dataset.Num(v)})
+	}
+	cs := dataset.NewColumnSet(rel)
+	want := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, d := range []struct {
+		name string
+		dom  []float64
+	}{{"Relation", rel.Domain(0)}, {"ColumnSet", cs.Domain(0)}} {
+		name, dom := d.name, d.dom
+		if len(dom) != len(want) {
+			t.Fatalf("%s.Domain = %v, want %v", name, dom, want)
+		}
+		for i := range want {
+			if dom[i] != want[i] {
+				t.Fatalf("%s.Domain = %v, want %v", name, dom, want)
+			}
+		}
+	}
+	cuts := func(preds []Predicate) []float64 {
+		var out []float64
+		for _, p := range preds {
+			if math.IsNaN(p.Num) {
+				t.Fatalf("predicate %v has a NaN constant", p)
+			}
+			if p.Op == Le {
+				out = append(out, p.Num)
+			}
+		}
+		return out
+	}
+	for _, g := range []struct {
+		name string
+		gen  func(GeneratorConfig) []Predicate
+	}{
+		{"Generate", func(cfg GeneratorConfig) []Predicate { return Generate(rel, []int{0}, cfg) }},
+		{"GenerateColumns", func(cfg GeneratorConfig) []Predicate { return GenerateColumns(cs, []int{0}, cfg) }},
+	} {
+		name, gen := g.name, g.gen
+		if got := cuts(gen(GeneratorConfig{})); len(got) != 7 {
+			t.Errorf("%s default space: cuts %v, want 7 pairs at 1 … 7", name, got)
+		}
+		got := cuts(gen(GeneratorConfig{Kind: Binary, Size: 8}))
+		if wantCuts := []float64{2, 3, 5, 7}; len(got) != len(wantCuts) {
+			t.Errorf("%s Binary-8: cuts %v, want %v", name, got, wantCuts)
+		} else {
+			for i := range wantCuts {
+				if got[i] != wantCuts[i] {
+					t.Errorf("%s Binary-8: cuts %v, want %v", name, got, wantCuts)
+					break
+				}
+			}
+		}
+	}
+}

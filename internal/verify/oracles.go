@@ -8,6 +8,7 @@ import (
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/predicate"
 )
 
 // Cross-engine oracles: the discovery matrix over the sequential and
@@ -18,9 +19,11 @@ import (
 // engine and checks both semantically — every trainable row covered, every
 // rule satisfied by the data; the parallel engine is deterministic only as
 // a coverage (model sharing depends on pop order). The kernel oracle checks
-// the scan kernels both engines share against tuple-at-a-time references.
-// The sequential result — the canonical engine — is returned for the
-// downstream oracles.
+// the scan kernels both engines share against tuple-at-a-time references,
+// once over the binary space, where a cut bucket holds many rows, and once
+// over the paper-default space (a cut at every distinct value), where
+// buckets hold tied rows only. The sequential result — the canonical
+// engine — is returned for the downstream oracles.
 func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet, error) {
 	type mode struct {
 		name    string
@@ -38,11 +41,19 @@ func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet,
 		results[m.name] = res.Rules
 	}
 
-	detail, err := KernelsVsTuples(ctx, t.Rel, baseConfig(t, t.Rel, rn.opts.PredSize))
-	if err != nil {
-		return nil, fmt.Errorf("kernel oracle: %w", err)
+	binary := baseConfig(t, t.Rel, rn.opts.PredSize)
+	dense := binary
+	dense.Preds = predicate.Generate(t.Rel, t.CondAttrs, predicate.GeneratorConfig{})
+	for _, pass := range []struct {
+		oracle string
+		cfg    core.DiscoverConfig
+	}{{"discover/kernels-vs-tuples", binary}, {"discover/kernels-vs-tuples/dense", dense}} {
+		detail, err := KernelsVsTuples(ctx, t.Rel, pass.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("kernel oracle: %w", err)
+		}
+		rn.check(pass.oracle, detail)
 	}
-	rn.check("discover/kernels-vs-tuples", detail)
 
 	trainable := trainableRows(t.Rel, t.XAttrs, t.YAttr)
 	for _, m := range modes {

@@ -280,17 +280,20 @@ func baseConfig(t Target, rel *dataset.Relation, predSize int) core.DiscoverConf
 	}
 }
 
-// trainableRows returns the indices of rows with non-null X and Y cells —
-// the rows Problem 1 requires Σ to cover.
+// trainableRows returns the indices of rows whose X and Y cells are all
+// non-null and finite — the rows Problem 1 requires Σ to cover.
 func trainableRows(rel *dataset.Relation, xattrs []int, yattr int) []int {
+	trainable := func(v dataset.Value) bool {
+		return !v.Null && !math.IsNaN(v.Num) && !math.IsInf(v.Num, 0)
+	}
 	var out []int
 rows:
 	for i, tp := range rel.Tuples {
-		if tp[yattr].Null {
+		if !trainable(tp[yattr]) {
 			continue
 		}
 		for _, a := range xattrs {
-			if tp[a].Null {
+			if !trainable(tp[a]) {
 				continue rows
 			}
 		}
