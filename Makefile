@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core serve bench bench-full bench-core bench-serve bench-stream bench-cluster bench-ooc fuzz verify verify-quick vet fmt experiments examples clean
+.PHONY: all build test race race-core serve bench bench-full bench-core fuzz verify verify-quick vet fmt experiments examples clean
 
 all: build test
 
@@ -40,31 +40,6 @@ bench-full:
 # Core micro-benchmarks: discovery, compaction, prediction index.
 bench-core:
 	$(GO) test -bench=. -benchmem ./internal/core/
-
-# Serving throughput: /v1/predict over JSON vs binary columnar, handler
-# stack (go test) and SDK-through-TCP (crrbench -serve). BENCH_wire.json
-# records the curated numbers.
-bench-serve:
-	$(GO) test -bench 'BenchmarkServeBatchPredict' -benchmem -benchtime=2s ./internal/serve/
-	$(GO) run ./cmd/crrbench -serve
-
-# Incremental stream maintenance vs full rediscovery, per 1k appended rows
-# on the canonical Electricity workload. BENCH_stream.json records the
-# curated numbers.
-bench-stream:
-	$(GO) test -bench 'BenchmarkStream' -benchmem -benchtime=10x ./internal/stream/
-
-# Router overhead: the same 1k-row binary batch predict through the SDK,
-# direct-to-node vs through crrrouter. BENCH_cluster.json records the
-# curated numbers (acceptance: routed <= 1.15x direct ns/op).
-bench-cluster:
-	$(GO) test -bench 'BatchPredictBinary' -benchmem -benchtime=3s ./internal/router/
-
-# Out-of-core store scaling: chunked build + mmap-backed discovery at
-# 1M/3M/10M rows. BENCH_ooc.json records the curated numbers (acceptance:
-# near-linear ns/row, build peak heap flat across sizes).
-bench-ooc:
-	$(GO) run ./cmd/crrbench -ooc -out BENCH_ooc.json
 
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s

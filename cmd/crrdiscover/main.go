@@ -14,11 +14,11 @@
 // crrgen -store or colstore.BuildCSVFile) instead of a CSV: the store is
 // memory-mapped and mined in place, so datasets far past RAM discover
 // without ever materializing tuples. Tuple-only post-passes (-prune, the
-// stability strategy, the coverage/RMSE evaluation) are unavailable there.
+// coverage/RMSE evaluation) are unavailable there.
 //
 // -strategy selects the induction strategy behind Algorithm 1's seam:
-// "lattice" (the paper's walk, default), "growprune" (per-seed grow/prune)
-// or "stability" (bootstrap stability selection).
+// "lattice" (the paper's walk, default) or "growprune" (per-seed
+// grow/prune).
 //
 // Long mines can be bounded with -timeout (the run stops within one queue
 // iteration and reports the cancellation) and profiled with -pprof ADDR
@@ -62,8 +62,7 @@ func main() {
 		tol      = flag.Float64("compact-tol", 0, "model tolerance for compaction (0 = exact)")
 		prune    = flag.Bool("prune", false, "merge statistically indistinguishable adjacent windows before compaction")
 		workers  = flag.Int("workers", 1, "discovery worker count (1 = sequential, <0 = one per CPU)")
-		strategy = flag.String("strategy", "lattice", "induction strategy: lattice, growprune or stability")
-		parallel = flag.Int("parallel", 0, "deprecated alias for -workers")
+		strategy = flag.String("strategy", "lattice", "induction strategy: lattice or growprune")
 		seed     = flag.Int64("seed", 0, "random seed (predicate generation, random queue order)")
 		timeout  = flag.Duration("timeout", 0, "abort discovery after this duration (e.g. 30s; 0 = no limit)")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -72,17 +71,12 @@ func main() {
 		mergeWin = flag.Float64("merge-windows", 0, "collapse touching windows whose y=δ agree within this tolerance (widens ρ accordingly)")
 	)
 	flag.Parse()
-	w := *workers
-	if *parallel != 0 {
-		fmt.Fprintln(os.Stderr, "crrdiscover: -parallel is deprecated, use -workers")
-		w = *parallel
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, runConfig{
 		input: *input, store: *store, yName: *yName, xNames: *xNames, condCols: *condCols,
 		rhoM: *rhoM, predSize: *predSize, family: *family,
-		compact: *compact, tol: *tol, prune: *prune, workers: w, save: *save,
+		compact: *compact, tol: *tol, prune: *prune, workers: *workers, save: *save,
 		strategy:     *strategy,
 		mergeWindows: *mergeWin, seed: *seed, timeout: *timeout, pprofAddr: *pprof,
 		metrics: *metrics,

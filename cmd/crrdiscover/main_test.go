@@ -242,7 +242,7 @@ func TestRunStoreModeCorrupt(t *testing.T) {
 // non-lattice strategies) surface its counters on the induction summary line.
 func TestRunDiscoverStrategy(t *testing.T) {
 	input := writeTaxCSV(t, 500)
-	for _, name := range []string{"lattice", "growprune", "stability"} {
+	for _, name := range []string{"lattice", "growprune"} {
 		var buf bytes.Buffer
 		err := runTo(context.Background(), &buf, runConfig{
 			input: input, yName: "Tax", xNames: "Salary", condCols: "State,MaritalStatus",

@@ -9,7 +9,6 @@ import (
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/experiments"
-	"github.com/crrlab/crr/internal/induction"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 )
@@ -76,18 +75,10 @@ func TestDiscoverColumnsDefaultPredicates(t *testing.T) {
 	}
 }
 
-// TestDiscoverColumnsRejectsTuplePaths: strategies that resample tuples
-// must fail with ErrTuplesRequired on a column-backed run, not panic, and a
-// nil ColumnSet is an empty run.
+// TestDiscoverColumnsRejectsTuplePaths: a nil ColumnSet, with neither a
+// store nor tuples behind it, is an empty run and fails with
+// ErrEmptyRelation rather than a panic.
 func TestDiscoverColumnsRejectsTuplePaths(t *testing.T) {
-	spec := experiments.TaxSpec()
-	cs := dataset.NewColumnSet(spec.Gen(50))
-	_, err := core.DiscoverColumns(context.Background(), cs,
-		core.WithSignature(spec.XAttrs, spec.YAttr),
-		core.WithStrategy(induction.Stability{}))
-	if !errors.Is(err, core.ErrTuplesRequired) {
-		t.Fatalf("stability over columns: err = %v, want ErrTuplesRequired", err)
-	}
 	if _, err := core.DiscoverColumns(context.Background(), nil); !errors.Is(err, core.ErrEmptyRelation) {
 		t.Fatalf("nil columns: err = %v, want ErrEmptyRelation", err)
 	}

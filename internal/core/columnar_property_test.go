@@ -12,6 +12,7 @@ import (
 	"github.com/crrlab/crr/internal/induction"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
+	"github.com/crrlab/crr/internal/telemetry"
 	"github.com/crrlab/crr/internal/verify"
 )
 
@@ -307,6 +308,55 @@ func TestDiscoveryKernelsVsTuples(t *testing.T) {
 				t.Fatal(detail)
 			}
 		})
+	}
+}
+
+// TestGramPathMatchesFullPassPerDataset is the five-dataset identity check
+// of the discovery hot path: sequential discovery with the Gram fast path
+// must produce the same rules, in the same order, with weights within 1e-9,
+// and the same Stats as the same trainer wrapped in regress.FullPass, which
+// re-fits every part from its design matrix. The fast path must fire on
+// some dataset, or the check compares the full pass with itself.
+func TestGramPathMatchesFullPassPerDataset(t *testing.T) {
+	reused := false
+	for _, spec := range propertySpecs() {
+		rel := spec.Gen(600)
+		reg := telemetry.New()
+		cfg := core.DiscoverConfig{
+			XAttrs: spec.XAttrs,
+			YAttr:  spec.YAttr,
+			RhoM:   spec.RhoM,
+			Preds: predicate.Generate(rel, spec.CondAttrs, predicate.GeneratorConfig{
+				Kind: predicate.Binary, Size: 64,
+			}),
+			Trainer:   regress.LinearTrainer{},
+			Telemetry: reg,
+		}
+		fast, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
+		if err != nil {
+			t.Fatalf("%s (fast): %v", spec.Name, err)
+		}
+		cfg.Trainer = regress.FullPass{T: regress.LinearTrainer{}}
+		cfg.Telemetry = nil
+		full, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
+		if err != nil {
+			t.Fatalf("%s (full pass): %v", spec.Name, err)
+		}
+		if fast.Rules.NumRules() == 0 {
+			t.Errorf("%s: no rules discovered", spec.Name)
+		}
+		if !experiments.SameRules(fast.Rules, full.Rules, 1e-9) {
+			t.Errorf("%s: fast and full-pass rules diverged", spec.Name)
+		}
+		if fast.Stats != full.Stats {
+			t.Errorf("%s: stats diverged: %+v vs %+v", spec.Name, fast.Stats, full.Stats)
+		}
+		if reg.Snapshot().Counters[telemetry.MetricStatReuse] > 0 {
+			reused = true
+		}
+	}
+	if !reused {
+		t.Error("sufficient-statistics fast path never fired across all datasets")
 	}
 }
 

@@ -99,7 +99,7 @@ type DiscoverConfig struct {
 	Workers int
 	// Strategy selects the induction strategy run over the substrate; nil
 	// selects the built-in lattice walk (Algorithm 1). The internal/induction
-	// package contributes growprune and stability.
+	// package contributes growprune.
 	Strategy Strategy
 	// Telemetry receives hot-path metrics (see internal/telemetry's metric
 	// schema); nil disables instrumentation at zero cost.
@@ -155,7 +155,7 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 	if err := applyDefaults(cols, &cfg); err != nil {
 		return nil, err
 	}
-	return discoverFor(ctx, rel, cols, cfg)
+	return discoverFor(ctx, cols, cfg)
 }
 
 // DiscoverColumns mines conditional regression rules directly over a
@@ -163,8 +163,7 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 // ColumnSet is the adopted view of an mmap'd store (colstore.Store.Columns)
 // and no Relation ever exists in memory. It accepts the same options as
 // Discover and is exactly equivalent to it: Discover builds a ColumnSet from
-// its relation and runs the same columnar engine over it. Strategies that
-// resample tuples (stability) fail with ErrTuplesRequired.
+// its relation and runs the same columnar engine over it.
 func DiscoverColumns(ctx context.Context, cols *dataset.ColumnSet, opts ...DiscoverOption) (*DiscoverResult, error) {
 	var cfg DiscoverConfig
 	for _, opt := range opts {
@@ -173,7 +172,7 @@ func DiscoverColumns(ctx context.Context, cols *dataset.ColumnSet, opts ...Disco
 	if err := applyDefaults(cols, &cfg); err != nil {
 		return nil, err
 	}
-	return discoverFor(ctx, nil, cols, cfg)
+	return discoverFor(ctx, cols, cfg)
 }
 
 // buildColumns builds the run's ColumnSet from rel once, charging the build
@@ -459,7 +458,7 @@ func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, 
 		if err := applyDefaults(cols, &c); err != nil {
 			return nil, fmt.Errorf("core: target %d: %w", y, err)
 		}
-		res, err := discoverFor(ctx, rel, cols, c)
+		res, err := discoverFor(ctx, cols, c)
 		if err != nil {
 			return nil, fmt.Errorf("core: target %d: %w", y, err)
 		}

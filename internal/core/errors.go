@@ -26,10 +26,6 @@ var (
 	// ErrNoPredicates reports an explicitly empty predicate space on the
 	// options-API Discover (omit WithPredicates to auto-generate ℙ instead).
 	ErrNoPredicates = errors.New("core: empty predicate space")
-	// ErrTuplesRequired reports a strategy that needs tuple-backed data — the
-	// stability strategy's bootstrap resampling — invoked on a
-	// column-store-backed discovery, where no Relation exists.
-	ErrTuplesRequired = errors.New("core: this path requires tuple-backed data, but discovery runs over a column store")
 	// ErrCanceled reports a discovery, maintenance or compaction run cut
 	// short by context cancellation or deadline. It wraps the context's own
 	// error, so errors.Is(err, context.Canceled) and

@@ -216,8 +216,8 @@ func TestHotPathTelemetry(t *testing.T) {
 }
 
 // TestGramPathMatchesFullPassDiscovery is the engine-level byte-identity
-// check on the unit-test scale (the five-dataset comparison lives in
-// internal/experiments): discovery with the default Gram-capable trainer
+// check on the unit-test scale (TestGramPathMatchesFullPassPerDataset runs
+// it on the five generators): discovery with the default Gram-capable trainer
 // must produce the same rules, in the same order, with weights within 1e-9,
 // as the same trainer wrapped in regress.FullPass.
 func TestGramPathMatchesFullPassDiscovery(t *testing.T) {

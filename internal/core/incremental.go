@@ -93,7 +93,7 @@ func Maintain(ctx context.Context, rel *dataset.Relation, s *RuleSet, newIdx []i
 	for i := range out.Rules {
 		cfg.SeedModels = append(cfg.SeedModels, out.Rules[i].Model)
 	}
-	res, err := discoverFor(ctx, sub, buildColumns(sub, cfg.Telemetry), cfg)
+	res, err := discoverFor(ctx, buildColumns(sub, cfg.Telemetry), cfg)
 	if err != nil {
 		return nil, st, err
 	}

@@ -69,7 +69,7 @@ func WithWorkers(n int) DiscoverOption {
 // WithStrategy selects the induction strategy run over the discovery
 // substrate; nil (the default) selects the built-in lattice walk
 // (Algorithm 1). See the Strategy interface for the contract and the
-// internal/induction package for the grow/prune and stability strategies.
+// internal/induction package for the grow/prune strategy.
 func WithStrategy(s Strategy) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Strategy = s }
 }

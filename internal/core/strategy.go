@@ -2,17 +2,17 @@ package core
 
 // The strategy seam: Algorithm 1's lattice walk is one way to induce
 // conditional regression rules, and the related work names others that fit
-// the same (condition, linear model, ρ-bound) contract — per-example
-// grow/prune induction, bootstrap stability selection. This file separates
-// the engine-agnostic substrate (the validated configuration, the trainable
-// rows, the columnar scan engine, split scoring, Gram-backed training and
-// ρ-validation) from the search policy, so new induction methods plug in
-// without forking the hot path.
+// the same (condition, linear model, ρ-bound) contract, such as per-example
+// grow/prune induction. This file separates the engine-agnostic substrate
+// (the validated configuration, the trainable rows, the columnar scan
+// engine, split scoring, Gram-backed training and ρ-validation) from the
+// search policy, so new induction methods plug in without forking the hot
+// path.
 //
 // A Strategy receives a prepared *Substrate and returns the discovered
 // rules. The built-in LatticeStrategy re-expresses the sequential and
 // parallel engines of discover.go / parallel.go on the seam; the
-// internal/induction package contributes growprune and stability.
+// internal/induction package contributes growprune.
 
 import (
 	"context"
@@ -26,7 +26,7 @@ import (
 // Strategy is one rule-induction policy over the discovery substrate. The
 // contract every implementation owes its callers:
 //
-//   - Every emitted rule's condition selects, on the substrate's relation, a
+//   - Every emitted rule's condition selects, on the substrate's columns, a
 //     subset of the trainable rows on which the rule's model is within the
 //     rule's published Rho (the Problem 1 per-rule guarantee).
 //   - Rules are built with the substrate's signature (the RuleSet skeleton
@@ -59,7 +59,6 @@ func Canceled(cause error) error { return canceled(cause) }
 // goroutines (the parallel lattice engine builds per-worker workspaces
 // instead).
 type Substrate struct {
-	rel      *dataset.Relation  // nil when the run is column-store-backed
 	cols     *dataset.ColumnSet // the run's data, built once per run
 	cfg      *DiscoverConfig    // validated; MinSupport/MaxNodes defaulted
 	all      []int              // trainable rows (non-null, finite X and Y), ascending
@@ -74,13 +73,12 @@ type Substrate struct {
 
 // newSubstrate validates cfg against cols (mutating it to its effective
 // defaults) and prepares the run state shared by every strategy.
-func newSubstrate(rel *dataset.Relation, cols *dataset.ColumnSet, cfg *DiscoverConfig) (*Substrate, error) {
+func newSubstrate(cols *dataset.ColumnSet, cfg *DiscoverConfig) (*Substrate, error) {
 	all, fallback, err := discoverPrep(cols, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Substrate{
-		rel:      rel,
 		cols:     cols,
 		cfg:      cfg,
 		all:      all,
@@ -88,12 +86,6 @@ func newSubstrate(rel *dataset.Relation, cols *dataset.ColumnSet, cfg *DiscoverC
 		tel:      newDiscTel(cfg.Telemetry),
 	}, nil
 }
-
-// Relation returns the relation under discovery, or nil when the run is
-// column-store-backed (DiscoverColumns). Only strategies that resample
-// tuples need it; they must check and fail with ErrTuplesRequired. Every
-// kernel reads Columns.
-func (s *Substrate) Relation() *dataset.Relation { return s.rel }
 
 // Schema returns the schema of the data under discovery.
 func (s *Substrate) Schema() *dataset.Schema { return s.cols.Schema }
@@ -276,14 +268,13 @@ func strategyOf(cfg *DiscoverConfig) Strategy {
 // discoverFor is the single entry path of the discovery engine: every public
 // entrypoint (Discover, DiscoverTargets, DiscoverColumns, Maintain) funnels a
 // configuration and the run's ColumnSet through here, so strategy selection
-// and substrate preparation happen in exactly one place. rel is the relation
-// cols was built from, or nil for a column-store-backed run. The columns are
-// an argument, never a config field: strategies copy their config into runs
-// over other data (stability's bootstrap replicates), and a config-borne
+// and substrate preparation happen in exactly one place. The columns are an
+// argument, never a config field: callers copy one config into runs over
+// other data (Maintain re-mines only its retrain rows), and a config-borne
 // ColumnSet would make those runs read the caller's rows.
-func discoverFor(ctx context.Context, rel *dataset.Relation, cols *dataset.ColumnSet, cfg DiscoverConfig) (*DiscoverResult, error) {
+func discoverFor(ctx context.Context, cols *dataset.ColumnSet, cfg DiscoverConfig) (*DiscoverResult, error) {
 	strat := strategyOf(&cfg)
-	sub, err := newSubstrate(rel, cols, &cfg)
+	sub, err := newSubstrate(cols, &cfg)
 	if err != nil {
 		return nil, err
 	}

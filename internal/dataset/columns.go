@@ -14,8 +14,8 @@ import "sort"
 // tuples, NOT a normalized encoding: a null numeric cell keeps whatever Num
 // it carried (0 for Null()) and a null categorical cell maps to NullCode.
 // That choice makes every columnar consumer bitwise-identical to the
-// tuple-at-a-time reference path it replaces, which the parity harness
-// (crrbench -compare, the property tests) asserts.
+// tuple-at-a-time reference path it replaces, which the parity property
+// tests and crrverify's oracles assert.
 
 // NullCode marks a null categorical cell in a code column. It is never a
 // valid dictionary code, so equality filters skip nulls without a bitmap

@@ -29,8 +29,6 @@ func TelemetrySummary(snap telemetry.Snapshot) []string {
 	if line := counterLine("induction", snap, [][2]string{
 		{telemetry.MetricInductionCandidatesGrown, "candidates grown"},
 		{telemetry.MetricInductionRulesPruned, "rules pruned"},
-		{telemetry.MetricInductionStabilityKept, "stability kept"},
-		{telemetry.MetricInductionStabilityDropped, "stability dropped"},
 	}); line != "" {
 		lines = append(lines, line)
 	}

@@ -339,11 +339,15 @@ func scaled(n int, scale float64, min int) int {
 	return v
 }
 
-// WriteRowsCSV writes rows in machine-readable CSV (one header row), for
-// plotting the figures outside Go. Durations are emitted in seconds.
-func WriteRowsCSV(w io.Writer, rows []Row) error {
-	if _, err := io.WriteString(w, "experiment,dataset,method,param,value,learn_s,eval_s,rmse,rules,trained,shared,expanded\n"); err != nil {
-		return err
+// WriteRowsCSV writes rows in machine-readable CSV, for plotting the
+// figures outside Go, preceded by the header row when header is set so a
+// sweep over several experiments can write a single header. Durations are
+// emitted in seconds.
+func WriteRowsCSV(w io.Writer, rows []Row, header bool) error {
+	if header {
+		if _, err := io.WriteString(w, "experiment,dataset,method,param,value,learn_s,eval_s,rmse,rules,trained,shared,expanded\n"); err != nil {
+			return err
+		}
 	}
 	for _, r := range rows {
 		_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%g,%g,%g,%g,%d,%d,%d,%d\n",
@@ -355,4 +359,27 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 		}
 	}
 	return nil
+}
+
+// SameRules reports structural identity of two rule sets: same rule count
+// and order, same conditions and bias, and model weights within tol. It is
+// the acceptance check of the hot path — the fast paths must not change
+// discovery output.
+func SameRules(a, b *core.RuleSet, tol float64) bool {
+	if a.NumRules() != b.NumRules() {
+		return false
+	}
+	for i := range a.Rules {
+		ra, rb := &a.Rules[i], &b.Rules[i]
+		if ra.Cond.String() != rb.Cond.String() {
+			return false
+		}
+		if d := ra.Rho - rb.Rho; d > tol || d < -tol {
+			return false
+		}
+		if ra.Model == nil || rb.Model == nil || !ra.Model.Equal(rb.Model, tol) {
+			return false
+		}
+	}
+	return true
 }

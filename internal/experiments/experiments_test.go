@@ -427,7 +427,7 @@ func TestAblationRegistryRunsAll(t *testing.T) {
 func TestWriteRowsCSV(t *testing.T) {
 	rows := []Row{{Experiment: "x", Dataset: "D", Method: "M", Param: "size", Value: 10, RMSE: 0.5, Rules: 3}}
 	var buf bytes.Buffer
-	if err := WriteRowsCSV(&buf, rows); err != nil {
+	if err := WriteRowsCSV(&buf, rows, true); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

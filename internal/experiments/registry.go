@@ -35,7 +35,6 @@ func Registry() []Experiment {
 		{"ablation-prune", "Ablation: §VII post-pruning of over-refined rules", AblationPrune},
 		{"extra-birdmap", "Tech-report extra: Fig.2-style comparison on BirdMap", ExtraBirdMap},
 		{"extra-abalone", "Tech-report extra: Fig.4-style comparison on Abalone", ExtraAbalone},
-		{"compare", "Hot path before/after: sufficient statistics vs full pass", CompareHotPath},
 	}
 }
 

@@ -2,14 +2,12 @@ package induction_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/induction"
-	"github.com/crrlab/crr/internal/regress"
 )
 
 // TestGrowPruneOverColumns: the grow/prune strategy runs entirely on the
@@ -30,20 +28,5 @@ func TestGrowPruneOverColumns(t *testing.T) {
 	}
 	if !experiments.SameRules(relRes.Rules, colRes.Rules, 0) {
 		t.Fatal("growprune output diverged between relation- and column-backed runs")
-	}
-}
-
-// TestStabilityRequiresTuples: bootstrap resampling needs tuples, so the
-// stability strategy must fail a column-backed run with ErrTuplesRequired —
-// a diagnostic, not a panic.
-func TestStabilityRequiresTuples(t *testing.T) {
-	spec := experiments.TaxSpec()
-	rel := spec.Gen(100)
-	cfg := specConfig(spec, rel)
-	cfg.Strategy = induction.Stability{B: 2}
-	cfg.Trainer = regress.LinearTrainer{}
-	_, err := core.DiscoverColumns(context.Background(), dataset.NewColumnSet(rel), core.WithConfig(cfg))
-	if !errors.Is(err, core.ErrTuplesRequired) {
-		t.Fatalf("stability over columns: err = %v, want ErrTuplesRequired", err)
 	}
 }

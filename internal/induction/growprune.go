@@ -1,27 +1,18 @@
-// Package induction contributes rule-induction strategies beyond the
+// Package induction contributes a rule-induction strategy beyond the
 // paper's Algorithm 1 lattice walk, plugged into the discovery engine
-// through the core.Strategy seam. Every strategy runs on the shared
-// substrate — the columnar part scan, SSE split scoring, Gram-backed
-// training and ρ-validation kernels of internal/core — so the hot path is
-// never forked, and every strategy's output satisfies the same contract:
-// rules whose model is within the published ρ on the rows their condition
-// selects.
+// through the core.Strategy seam. It runs on the shared substrate — the
+// columnar part scan, SSE split scoring, Gram-backed training and
+// ρ-validation kernels of internal/core — so the hot path is never forked,
+// and its output satisfies the lattice's contract: rules whose model is
+// within the published ρ on the rows their condition selects.
 //
-// The strategies:
+// GrowPrune is per-example greedy rule induction in the style of the Rule
+// Induction Partitioning Estimator (Margot et al.): seed a candidate at each
+// uncovered example, grow its conjunction along the SSE-best splits while
+// the refit bound is violated, then prune predicates that don't pay their
+// coverage cost.
 //
-//   - GrowPrune: per-example greedy rule induction in the style of the Rule
-//     Induction Partitioning Estimator (Margot et al.) — seed a candidate at
-//     each uncovered example, grow its conjunction along the SSE-best splits
-//     while the refit bound is violated, then prune predicates that don't
-//     pay their coverage cost.
-//   - Stability: bootstrap stability selection in the style of pycre and the
-//     data-dependent coverings line (Margot et al.) — honest-split discovery
-//     over B bootstrap replicates of a base strategy, keeping only
-//     conjunctions that recur in ≥ τ·B replicates, refit on the held-out
-//     half.
-//
-// Lookup resolves strategies by name for the CLIs (crrdiscover -strategy,
-// crrbench -strategies).
+// Lookup resolves strategies by name for crrdiscover -strategy.
 package induction
 
 import (

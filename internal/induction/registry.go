@@ -12,11 +12,10 @@ import (
 var strategies = map[string]func() core.Strategy{
 	"lattice":   func() core.Strategy { return core.LatticeStrategy{} },
 	"growprune": func() core.Strategy { return GrowPrune{} },
-	"stability": func() core.Strategy { return Stability{} },
 }
 
-// Lookup resolves a strategy by its CLI name ("lattice", "growprune",
-// "stability"), with default parameters.
+// Lookup resolves a strategy by its CLI name ("lattice", "growprune"), with
+// default parameters.
 func Lookup(name string) (core.Strategy, error) {
 	if f, ok := strategies[strings.ToLower(strings.TrimSpace(name))]; ok {
 		return f(), nil

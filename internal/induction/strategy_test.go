@@ -3,7 +3,6 @@ package induction_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -95,9 +94,9 @@ func TestStrategyProperty(t *testing.T) {
 				rule := &res.Rules.Rules[ri]
 				rows, xs, ys := ruleSelection(rel, rule)
 
-				// Support: growprune and stability refuse selections below
-				// the MinSupport floor (or the whole trainable set when it is
-				// smaller); the lattice guarantees non-empty parts.
+				// Support: growprune refuses selections below the MinSupport
+				// floor (or the whole trainable set when it is smaller); the
+				// lattice guarantees non-empty parts.
 				floor := 1
 				if name != "lattice" {
 					floor = minSupport
@@ -142,27 +141,6 @@ func TestStrategyProperty(t *testing.T) {
 					checkRefitParity(t, spec.Name, name, ri, rule, xs, ys, tol)
 				}
 			}
-
-			// Stability's models are fit on the inference half of its honest
-			// split — re-derive that half from the documented Seed contract
-			// and check refit parity there.
-			if name == "stability" {
-				hold := stabilityHoldout(rel, cfg.Seed)
-				for ri := range res.Rules.Rules {
-					rule := &res.Rules.Rules[ri]
-					_, xs, ys := ruleSelectionWithin(rel, rule, hold)
-					if len(ys) == 0 {
-						continue
-					}
-					scale := 1.0
-					for _, y := range ys {
-						if a := math.Abs(y); a > scale {
-							scale = a
-						}
-					}
-					checkRefitParity(t, spec.Name, name, ri, rule, xs, ys, 1e-9*scale)
-				}
-			}
 		}
 	}
 }
@@ -189,40 +167,6 @@ func checkRefitParity(t *testing.T, ds, strat string, ri int, rule *core.CRR, xs
 		t.Errorf("%s/%s rule %d: model drifts %g from the from-scratch refit (bound %g)",
 			ds, strat, ri, drift, tol)
 	}
-}
-
-// stabilityHoldout reproduces the Stability strategy's documented honest
-// split: the rows at positions ⌊n/2⌋.. of the Seed-keyed permutation.
-func stabilityHoldout(rel *dataset.Relation, seed int64) map[int]bool {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(rel.Len())
-	mid := rel.Len() / 2
-	if mid == 0 {
-		mid = rel.Len()
-	}
-	hold := make(map[int]bool, len(perm)-mid)
-	for _, r := range perm[mid:] {
-		hold[r] = true
-	}
-	if len(hold) == 0 {
-		for _, r := range perm[:mid] {
-			hold[r] = true
-		}
-	}
-	return hold
-}
-
-// ruleSelectionWithin is ruleSelection restricted to a row subset.
-func ruleSelectionWithin(rel *dataset.Relation, rule *core.CRR, within map[int]bool) (rows []int, xs [][]float64, ys []float64) {
-	allRows, allXs, allYs := ruleSelection(rel, rule)
-	for i, r := range allRows {
-		if within[r] {
-			rows = append(rows, r)
-			xs = append(xs, allXs[i])
-			ys = append(ys, allYs[i])
-		}
-	}
-	return rows, xs, ys
 }
 
 func trainableRows(rel *dataset.Relation, xattrs []int, yattr int) []int {
@@ -294,7 +238,7 @@ func TestStrategyDeterminism(t *testing.T) {
 
 // TestLookup covers the registry surface.
 func TestLookup(t *testing.T) {
-	want := []string{"growprune", "lattice", "stability"}
+	want := []string{"growprune", "lattice"}
 	got := induction.Names()
 	sort.Strings(got)
 	if len(got) != len(want) {

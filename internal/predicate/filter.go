@@ -8,7 +8,7 @@ import "github.com/crrlab/crr/internal/dataset"
 // over the dense numeric column, categorical equalities become a single
 // dictionary lookup followed by a code comparison. The contract is exact
 // row-path parity — a row survives Filter iff its tuple satisfies Sat — which
-// the package property tests and crrbench -compare assert.
+// the package property tests assert.
 
 // Filter appends to dst (reset to length 0) the rows of sel whose cells
 // satisfy the predicate, preserving order. dst may alias sel: the write

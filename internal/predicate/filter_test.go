@@ -212,7 +212,7 @@ func BenchmarkFilterColumnar(b *testing.B) {
 }
 
 // BenchmarkFilterRowwise is the tuple-at-a-time reference for the same
-// workload, for before/after comparison in BENCH_columnar.json.
+// workload, for before/after comparison with BenchmarkFilterColumnar.
 func BenchmarkFilterRowwise(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {

@@ -43,9 +43,8 @@ type GramTrainer interface {
 
 // FullPass wraps a trainer so that engines cannot reach a sufficient-
 // statistics fast path through it: the wrapper deliberately does not
-// implement GramTrainer. It is the reference configuration for before/after
-// benchmarking (crrbench -compare) and for cross-checking the fast path in
-// tests.
+// implement GramTrainer. It is the reference configuration for
+// BenchmarkDiscoverFullPass and for cross-checking the fast path in tests.
 type FullPass struct{ T Trainer }
 
 // Train implements Trainer by delegating.

@@ -14,8 +14,7 @@ import (
 // SDK, once straight at the owning node and once through the router front
 // door. Both paths cross real TCP loopback sockets, so the delta is the
 // router's own cost — admit, ring lookup, body buffering, one extra hop.
-// BENCH_cluster.json records the measured pair; the acceptance bar is a
-// routed/direct ns/op ratio ≤ 1.15 on this workload.
+// The acceptance bar is a routed/direct ns/op ratio ≤ 1.15 on this workload.
 
 // benchPredictLoop drives binary batch predicts at the given base URL.
 func benchPredictLoop(b *testing.B, url string, rel *dataset.Relation) {

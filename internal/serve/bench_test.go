@@ -65,15 +65,15 @@ func binaryPredictBody(b *testing.B, rel *dataset.Relation) []byte {
 
 // BenchmarkServeBatchPredict measures the full JSON /v1/predict path for a
 // 1000-tuple batch — decode, columnar classification, encode — through the
-// real handler stack. This is the serving-side baseline recorded in
-// BENCH_columnar.json and the "before" of BENCH_wire.json.
+// real handler stack. It is the JSON baseline the binary format is measured
+// against.
 func BenchmarkServeBatchPredict(b *testing.B) {
 	rel := benchBatch(b, 1000)
 	benchPredictBody(b, "application/json", jsonPredictBody(b, rel))
 }
 
 // BenchmarkServeBatchPredictBinary is the same handler stack fed the binary
-// columnar format — the "after" of BENCH_wire.json.
+// columnar format, to compare with BenchmarkServeBatchPredict.
 func BenchmarkServeBatchPredictBinary(b *testing.B) {
 	rel := benchBatch(b, 1000)
 	benchPredictBody(b, wire.ContentType, binaryPredictBody(b, rel))

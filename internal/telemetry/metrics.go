@@ -16,8 +16,7 @@ const (
 
 	// Hot-path performance-layer metrics (the part-workspace of hotpath.go):
 	// how often the sufficient-statistics and caching fast paths actually
-	// fire, so before/after comparisons (crrbench -compare) can attribute
-	// speedups.
+	// fire, so before/after comparisons can attribute speedups.
 	MetricStatReuse      = "discover.stat_reuse"        // Line-13 fits served from accumulated Gram statistics (counter)
 	MetricCacheHits      = "discover.column_cache_hits" // per-node feature materializations served by the column cache (counter)
 	MetricShareScanWidth = "discover.share_scan_width"  // models scanned per single-pass share scan (value distribution)
@@ -43,14 +42,10 @@ const (
 	// Induction-strategy metrics (the core strategy seam + the
 	// internal/induction strategies). candidates_grown counts rule candidates
 	// seeded and grown by growprune; rules_pruned counts emitted rules that
-	// lost at least one predicate in the prune pass; stability_kept/dropped
-	// count recurring conjunctions that survived (or failed) the held-out
-	// refit of the stability strategy. Per-strategy run counters are derived
-	// with InductionStrategyRuns below.
-	MetricInductionCandidatesGrown  = "induction.candidates_grown"  // counter: growprune candidates seeded and grown
-	MetricInductionRulesPruned      = "induction.rules_pruned"      // counter: rules that lost predicates in the prune pass
-	MetricInductionStabilityKept    = "induction.stability_kept"    // counter: recurring conjunctions kept after held-out refit
-	MetricInductionStabilityDropped = "induction.stability_dropped" // counter: recurring conjunctions dropped by the held-out refit
+	// lost at least one predicate in the prune pass. Per-strategy run
+	// counters are derived with InductionStrategyRuns below.
+	MetricInductionCandidatesGrown = "induction.candidates_grown" // counter: growprune candidates seeded and grown
+	MetricInductionRulesPruned     = "induction.rules_pruned"     // counter: rules that lost predicates in the prune pass
 
 	// Out-of-core columnar store metrics (internal/colstore): the mmap'd
 	// on-disk lane layer. bytes_mapped counts payload bytes mapped (or

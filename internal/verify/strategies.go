@@ -1,9 +1,9 @@
 package verify
 
 // Induction-strategy oracles: every strategy behind the core.Strategy seam
-// (the lattice walk, growprune, stability) must produce rules that satisfy
-// the Problem 1 per-rule contract on data it was given, degrade gracefully
-// on data it was not, and survive the codec. The strategies are run on the
+// (the lattice walk, growprune) must produce rules that satisfy the
+// Problem 1 per-rule contract on data it was given, degrade gracefully on
+// data it was not, and survive the codec. The strategies are run on the
 // even rows of the target (an interleaved split — a tail holdout would
 // measure temporal extrapolation on the time-series generators, not rule
 // quality), and each rule's selection is re-derived with the plain
@@ -129,27 +129,24 @@ func (rn *runner) strategyOracles(ctx context.Context, t Target) error {
 		rn.check("strategy/"+name+"/holdout", holdDetail)
 
 		// Coverage: the lattice walk and growprune guarantee every trainable
-		// row is selected by some rule; stability deliberately trades
-		// coverage for reproducibility, so it is exempt.
-		if name != "stability" {
-			covDetail := ""
-			coveredRows := make([]bool, train.Len())
-			for ri := range rules.Rules {
-				rule := &rules.Rules[ri]
-				for ti, tp := range train.Tuples {
-					if _, ok := rule.Cond.MatchConjunction(tp); ok {
-						coveredRows[ti] = true
-					}
+		// row is selected by some rule.
+		covDetail := ""
+		coveredRows := make([]bool, train.Len())
+		for ri := range rules.Rules {
+			rule := &rules.Rules[ri]
+			for ti, tp := range train.Tuples {
+				if _, ok := rule.Cond.MatchConjunction(tp); ok {
+					coveredRows[ti] = true
 				}
 			}
-			for _, r := range trainable {
-				if !coveredRows[r] {
-					covDetail = fmt.Sprintf("trainable row %d covered by no rule", r)
-					break
-				}
-			}
-			rn.check("strategy/"+name+"/coverage", covDetail)
 		}
+		for _, r := range trainable {
+			if !coveredRows[r] {
+				covDetail = fmt.Sprintf("trainable row %d covered by no rule", r)
+				break
+			}
+		}
+		rn.check("strategy/"+name+"/coverage", covDetail)
 
 		ct := t
 		ct.Rel = train

@@ -4,10 +4,10 @@
 // near-memcpy into the columnar execution core (dataset.ColumnSet) instead
 // of a tour through reflection, maps and interface boxing.
 //
-// BENCH_columnar.json told the story that motivated this package: batch
-// classification of 1000 tuples costs ~92µs in-process while the full JSON
-// /v1/predict round trip costs ~8.5ms and ~56k allocations — serialization
-// was ~99% of serving latency. The format here keeps the wire shape
+// What motivated this package: batch classification of 1000 tuples cost
+// ~92µs in-process (BenchmarkPredictBatchColumnar in internal/serve) while
+// the full JSON /v1/predict round trip cost ~8.5ms and ~56k allocations
+// (BenchmarkServeBatchPredict) — serialization was ~99% of serving latency. The format here keeps the wire shape
 // isomorphic to the in-memory shape: numeric columns travel as little-endian
 // 8-byte float64 lanes, categorical columns as a string dictionary plus
 // 4-byte codes, and missing cells as 1-bit-per-row null bitmaps.
