@@ -17,10 +17,12 @@ race:
 
 # The CI race job: discovery/compaction engines, induction strategies, the
 # out-of-core column store, telemetry, the serving subsystem (hot reload +
-# drain + generation CAS) and the stream maintainer under the detector.
+# drain + generation CAS) and the stream maintainer under the detector, then
+# the lattice engine's shared state raced repeatedly.
 race-core:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/... ./internal/induction/... ./internal/colstore/... ./internal/telemetry/... ./internal/experiments/... ./internal/serve/... ./internal/stream/... ./internal/registry/... ./internal/cluster/... ./internal/router/...
+	$(GO) test -race -count=10 -timeout 5m -run 'Parallel|Cancel|TrainerError|MaxNodes|Prop8' ./internal/core/
 
 # Serve a discovered artifact over HTTP (see docs/TUTORIAL.md §7):
 #   make serve RULES=rules.json [ADDR=:8080]

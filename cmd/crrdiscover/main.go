@@ -61,7 +61,7 @@ func main() {
 		compact  = flag.Bool("compact", false, "run Algorithm 2 compaction after discovery")
 		tol      = flag.Float64("compact-tol", 0, "model tolerance for compaction (0 = exact)")
 		prune    = flag.Bool("prune", false, "merge statistically indistinguishable adjacent windows before compaction")
-		workers  = flag.Int("workers", 1, "discovery worker count (1 = sequential, <0 = one per CPU)")
+		workers  = flag.Int("workers", 1, "discovery worker count (0 = 1, <0 = one per CPU); only 1 is deterministic")
 		strategy = flag.String("strategy", "lattice", "induction strategy: lattice or growprune")
 		seed     = flag.Int64("seed", 0, "random seed (predicate generation, random queue order)")
 		timeout  = flag.Duration("timeout", 0, "abort discovery after this duration (e.g. 30s; 0 = no limit)")

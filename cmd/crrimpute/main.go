@@ -42,7 +42,7 @@ func main() {
 		fallback = flag.Bool("fallback", false, "fill uncovered cells with the training mean")
 		rulesIn  = flag.String("rules", "", "load a saved rule set (crrdiscover -save) instead of discovering")
 		remote   = flag.String("remote", "", "impute through a crrserve URL instead of local rules")
-		workers  = flag.Int("workers", 1, "discovery worker count (1 = sequential, <0 = one per CPU)")
+		workers  = flag.Int("workers", 1, "discovery worker count (0 = 1, <0 = one per CPU); only 1 is deterministic")
 		seed     = flag.Int64("seed", 0, "random seed (predicate generation)")
 	)
 	flag.Parse()

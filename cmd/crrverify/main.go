@@ -37,7 +37,7 @@ func main() {
 		rows     = flag.Int("rows", 2000, "rows generated per dataset")
 		quick    = flag.Bool("quick", false, "smoke mode: 400 rows, serve and metamorphic suites skipped")
 		datasets = flag.String("dataset", "", "comma-separated dataset subset (default: all five)")
-		workers  = flag.Int("workers", 4, "parallel-engine width in the discovery matrix")
+		workers  = flag.Int("workers", 4, "worker count of the discovery matrix's several-worker mode")
 		seed     = flag.Int64("seed", 1, "seed for the metamorphic row permutation")
 		predSize = flag.Int("preds", 64, "predicates per numeric attribute")
 		jsonOut  = flag.Bool("json", false, "write the JSON report to stdout")

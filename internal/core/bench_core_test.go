@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -103,12 +104,16 @@ func denseCutsConfig() (*dataset.Relation, DiscoverConfig) {
 
 func BenchmarkDiscoverDenseCuts(b *testing.B) {
 	rel, cfg := denseCutsConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

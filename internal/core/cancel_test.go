@@ -113,9 +113,9 @@ func TestDiscoverPreCanceled(t *testing.T) {
 	}
 }
 
-// TestParallelCancelNoGoroutineLeak cancels a parallel mine mid-flight and
-// verifies both the prompt canceled error and that every worker (and the
-// context watcher) has exited.
+// TestParallelCancelNoGoroutineLeak cancels a several-worker mine
+// mid-flight and verifies both the prompt canceled error and that every
+// worker has exited.
 func TestParallelCancelNoGoroutineLeak(t *testing.T) {
 	rel, cfg := electricityMine(t, 8000)
 	cfg.Workers = 4
@@ -137,14 +137,16 @@ func TestParallelCancelNoGoroutineLeak(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	// All pool goroutines are joined before discoverParallel returns, so the
-	// count must come back to the baseline (tolerating unrelated runtime
-	// goroutines that may come and go).
+	requireGoroutineBaseline(t, before)
+}
+
+// requireGoroutineBaseline fails the test unless the goroutine count comes
+// back to before. Every worker is joined before Discover returns, so only
+// unrelated runtime goroutines that may come and go are tolerated.
+func requireGoroutineBaseline(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
+	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
@@ -152,8 +154,8 @@ func TestParallelCancelNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestParallelCompletesUncanceled: the ctx-aware pool still terminates
-// normally and covers the data when never canceled.
+// TestParallelCompletesUncanceled: several ctx-aware workers still
+// terminate normally and cover the data when never canceled.
 func TestParallelCompletesUncanceled(t *testing.T) {
 	rel, cfg := electricityMine(t, 1500)
 	cfg.RhoM = 0.2

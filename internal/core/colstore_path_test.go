@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,11 +117,15 @@ func BenchmarkDiscoverTiedRuns(b *testing.B) {
 		Preds:   predicate.GenerateColumns(cs, []int{0}, predicate.GeneratorConfig{Kind: predicate.Binary, Size: 16}),
 		Trainer: regress.LinearTrainer{},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DiscoverColumns(context.Background(), cs, core.WithConfig(cfg)); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.DiscoverColumns(context.Background(), cs, core.WithConfig(cfg)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // countingCtx is a context whose Err() flips to context.Canceled after a
-// fixed number of polls and whose Done() channel never fires. Both engines
-// poll ctx.Err() at their queue-pop points (the sequential main loop and the
-// parallel per-worker iteration), so sweeping the limit drives cancellation
-// through every pop point without relying on goroutine timing.
+// fixed number of polls and whose Done() channel never fires. Every lattice
+// worker polls ctx.Err() at each queue pop, so sweeping the limit drives
+// cancellation through every pop point without relying on goroutine timing.
 type countingCtx struct {
 	limit int64
 	calls atomic.Int64
@@ -43,7 +42,7 @@ func TestDiscoverSeqCancelEveryPop(t *testing.T) {
 	}
 	total := int(probe.calls.Load())
 	if total < 2 {
-		t.Fatalf("sequential engine polled the context %d times; the sweep needs more", total)
+		t.Fatalf("one worker polled the context %d times; the sweep needs more", total)
 	}
 	step := 1
 	if total > 64 { // bound the sweep on deep mines, still crossing every region
@@ -60,9 +59,9 @@ func TestDiscoverSeqCancelEveryPop(t *testing.T) {
 	}
 }
 
-// TestDiscoverParallelCancelByPolling drives the parallel engine's
-// cancellation purely through Err() polling — Done() never fires, so the
-// watcher goroutine cannot help. Workers must notice on their own.
+// TestDiscoverParallelCancelByPolling drives cancellation with several
+// workers purely through Err() polling — Done() never fires. Each worker
+// must notice at its next pop, and waiting workers must be woken to see it.
 func TestDiscoverParallelCancelByPolling(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 5)
 	cfg := discoverCfg(rel, 0.5)

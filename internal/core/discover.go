@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -92,10 +93,11 @@ type DiscoverConfig struct {
 	// children cost queue work; the default single best cut matches the
 	// binary searching of the paper's complexity analysis (§V-A4).
 	Prop8Splits bool
-	// Workers is the discovery worker count: 0 or 1 selects the sequential
-	// engine, n > 1 the parallel engine with n workers, negative one worker
-	// per CPU. The parallel engine trades exact ind(C) ordering for
-	// throughput (see the engine comment in parallel.go).
+	// Workers is the number of workers popping the one ind(C) queue: 0
+	// means 1, negative means runtime.NumCPU(). Only one worker is
+	// deterministic, with bitwise-reproducible output; several race for
+	// pops, so which model a part shares, and with it the rule set, can vary
+	// run to run (see lattice).
 	Workers int
 	// Strategy selects the induction strategy run over the substrate; nil
 	// selects the built-in lattice walk (Algorithm 1). The internal/induction
@@ -135,8 +137,8 @@ const prop8MaxGroups = 3
 // The configuration is assembled from functional options over sane
 // defaults: OLS trainer, ρ_M = DefaultMaxBias, a paper-default predicate
 // space generated over the X attributes plus every categorical attribute,
-// and the sequential engine. WithWorkers(n > 1) switches to the parallel
-// engine; WithTelemetry attaches hot-path metrics.
+// and one worker. WithWorkers(n > 1) runs n workers over the same queue;
+// WithTelemetry attaches hot-path metrics.
 //
 //	res, err := core.Discover(ctx, rel,
 //	    core.WithSignature([]int{salary}, tax),
@@ -292,146 +294,267 @@ func newDiscTel(r *telemetry.Registry) discTel {
 	}
 }
 
-// latticeSeq is the sequential engine of LatticeStrategy — Algorithm 1 (CRR
-// searching with model sharing): a top-down refinement over conjunctions
-// that first tries to share an existing model via the δ0 test of
-// Proposition 6, trains a new model only when sharing fails, and splits the
-// condition on the best variance-reducing predicate group from ℙ otherwise.
-// Conjunctions are processed in the configured ind(C) order. ctx is checked
-// once per queue pop. The per-node work — part gathering, the single-pass
-// share scan and Line-13 training — runs on the hot path shared with the
-// parallel engine (hotpath.go), reached through the substrate's exact
-// kernels so the output stays bitwise-reproducible.
-func latticeSeq(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
-	cfg := sub.cfg
-	all := sub.all
+// lattice is LatticeStrategy's engine — Algorithm 1 (CRR searching with
+// model sharing): a top-down refinement over conjunctions that first tries
+// to share an existing model via the δ0 test of Proposition 6, trains a new
+// model only when sharing fails, and splits the condition on the best
+// variance-reducing predicate group from ℙ otherwise. Conjunctions are
+// popped in the configured ind(C) order.
+//
+// Each of the workers pops an item, runs the hot loop on it outside the lock
+// (hotpath.go) and publishes its rule, statistics and children under the
+// lock. One worker runs on the caller's goroutine and is bitwise
+// reproducible. With several, pops race, so which model a part shares, and
+// with it the rule set, can vary run to run; every part is still processed
+// exactly once, so Σ covers D and every rule holds on its part. Their rules
+// are sorted by first conjunction at the end.
+func lattice(ctx context.Context, sub *Substrate, workers int) (*DiscoverResult, error) {
 	out := sub.NewResult()
-	if len(all) == 0 {
+	if len(sub.all) == 0 {
 		return out, nil
 	}
-	tel := sub.tel
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	shared := append([]regress.Model(nil), cfg.SeedModels...) // the model set F (Line 2)
-	ruleOf := make(map[regress.Model]int)
-	hl := sub.hot(true)
-	ws := hl.workspace()
-	q := &condQueue{}
-	heap.Init(q)
-	root := &condItem{conj: predicate.NewConjunction(), idxs: all, gram: hl.rootGram(all)}
-	heap.Push(q, root)
-	visited := map[string]bool{conjKey(root.conj.Normalize()): true}
-
-	emit := func(model regress.Model, rho float64, conj predicate.Conjunction) {
-		// Refinement accumulates one predicate per split; normalizing
-		// collapses them to minimal per-attribute bounds.
-		conj = conj.Normalize()
-		if cfg.FuseShared {
-			if ri, ok := ruleOf[model]; ok {
-				r := &out.Rules.Rules[ri]
-				r.Cond.Conjs = append(r.Cond.Conjs, conj)
-				if rho > r.Rho {
-					r.Rho = rho // Generalization before Fusion
-				}
-				return
-			}
-			ruleOf[model] = len(out.Rules.Rules)
-		}
-		out.Rules.Rules = append(out.Rules.Rules, CRR{
-			Model:  model,
-			Rho:    rho,
-			Cond:   predicate.NewDNF(conj),
-			XAttrs: out.Rules.XAttrs,
-			YAttr:  cfg.YAttr,
-		})
+	hl := sub.hot()
+	root := &condItem{conj: predicate.NewConjunction(), idxs: sub.all, gram: hl.rootGram(sub.all)}
+	s := &search{
+		cfg:     sub.cfg,
+		tel:     sub.tel,
+		out:     out,
+		visited: map[string]bool{conjKey(root.conj.Normalize()): true},
+		shared:  append([]regress.Model(nil), sub.cfg.SeedModels...), // the model set F (Line 2)
+		ruleOf:  make(map[regress.Model]int),
+		rng:     rand.New(rand.NewSource(sub.cfg.Seed)),
 	}
-
-	for q.Len() > 0 && out.Stats.NodesExpanded < cfg.MaxNodes {
-		// The cancellation point of the search loop: a canceled or expired
-		// context stops the mine within one queue iteration.
-		if err := ctx.Err(); err != nil {
-			return nil, canceled(err)
+	s.cond.L = &s.mu
+	heap.Push(&s.q, root)
+	if workers == 1 {
+		s.work(ctx, hl.workspace(true))
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				s.work(ctx, hl.workspace(false))
+			}()
 		}
-		item := heap.Pop(q).(*condItem)
-		tel.queueDepth.Set(float64(q.Len()))
-		if len(item.idxs) == 0 {
-			continue
-		}
-		out.Stats.NodesExpanded++
-		tel.nodes.Inc()
-
-		ev, err := ws.evaluate(item, shared)
-		if err != nil {
-			return nil, err
-		}
-		if ev.hit {
-			// Lines 7–10: model sharing via the δ0 test.
-			conj := item.conj.Clone()
-			conj.Builtin = conj.Builtin.WithYShift(ev.share.Delta0)
-			emit(ev.model, ev.share.MaxErr, conj)
-			out.Stats.ShareHits++
-			tel.shared.Inc()
-			continue
-		}
-		out.Stats.ModelsTrained++
-		tel.trained.Inc()
-		if ev.accept {
-			emit(ev.model, ev.maxErr, item.conj)
-			shared = append(shared, ev.model)
-			if ev.forced {
-				out.Stats.ForcedRules++
-				tel.forced.Inc()
-			}
-			continue
-		}
-
-		// Lines 19–22: refine the condition; children carry the parent's
-		// ind(C) as queue priority (Line 22). The visited set keys on the
-		// normalized conjunction, so syntactically different but equivalent
-		// refinements (a≤5 ∧ a≤3 vs a≤3, overlapping Prop8 paths) expand
-		// once — equivalent conjunctions select the same part, so coverage
-		// is preserved by whichever spelling was queued first.
-		for _, ch := range ev.children {
-			conj := item.conj.And(ch.pred)
-			key := conjKey(conj.Normalize())
-			if visited[key] {
-				continue
-			}
-			visited[key] = true
-			prio := ev.ind
-			switch cfg.Order {
-			case Increase:
-				prio = -ev.ind
-			case RandomOrder:
-				prio = rng.Float64()
-			}
-			heap.Push(q, &condItem{conj: conj, idxs: ch.idxs, gram: ch.gram, prio: prio, seq: q.nextSeq()})
-		}
-		tel.queueDepth.Set(float64(q.Len()))
+		wg.Wait()
 	}
-	// If the MaxNodes guard tripped, force-accept a model for every part
-	// still queued — Problem 1 requires Σ to cover D, so abandoned parts are
-	// not an option.
-	for q.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, canceled(err)
-		}
-		item := heap.Pop(q).(*condItem)
-		if len(item.idxs) == 0 {
-			continue
-		}
-		p := ws.part(item.idxs)
-		model, _, err := ws.trainPart(item, p)
-		if err != nil {
-			return nil, err
-		}
-		out.Stats.ModelsTrained++
-		out.Stats.ForcedRules++
-		tel.trained.Inc()
-		tel.forced.Inc()
-		emit(model, ws.scanner.MaxAbs(model, p), item.conj)
+	if s.err != nil {
+		return nil, s.err
+	}
+	if workers > 1 {
+		sortRules(out.Rules.Rules)
 	}
 	return out, nil
+}
+
+// search is the state the workers of one lattice run share, all behind mu:
+// the ind(C) queue, the visited set, the model set F and the emitted rules
+// with their statistics.
+type search struct {
+	mu       sync.Mutex
+	cond     sync.Cond // broadcast when an item finishes
+	q        condQueue
+	inflight int   // items popped and not yet finished
+	err      error // the first error; it stops every worker
+	visited  map[string]bool
+	shared   []regress.Model       // F; it only grows, by append
+	ruleOf   map[regress.Model]int // FuseShared: the rule of each model
+	rng      *rand.Rand            // RandomOrder priorities
+	cfg      *DiscoverConfig
+	tel      discTel
+	out      *DiscoverResult
+}
+
+// work is one worker's loop. It returns once the queue is empty with no
+// item in flight, or the run has failed.
+func (s *search) work(ctx context.Context, ws *partWorkspace) {
+	for {
+		item, pool, capped, ok := s.pop()
+		if !ok {
+			return
+		}
+		ev, err := s.expand(ctx, ws, item, pool, capped)
+		s.finish(item, ev, err)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// pop takes the best queued item, waiting while the queue is empty but an
+// item in flight may still add children. ok is false once the search is
+// complete or has failed. pool is F as of the pop, a view capped at its
+// length, so reading it is safe while F grows. capped reports that MaxNodes
+// items have been expanded already.
+func (s *search) pop() (item *condItem, pool []regress.Model, capped, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.err == nil {
+		if s.q.Len() > 0 {
+			item = heap.Pop(&s.q).(*condItem)
+			s.inflight++
+			capped = s.out.Stats.NodesExpanded >= s.cfg.MaxNodes
+			if !capped {
+				s.out.Stats.NodesExpanded++
+			}
+			n := len(s.shared)
+			return item, s.shared[:n:n], capped, true
+		}
+		if s.inflight == 0 {
+			break
+		}
+		s.cond.Wait()
+	}
+	return nil, nil, false, false
+}
+
+// expand evaluates one popped item outside the lock.
+func (s *search) expand(ctx context.Context, ws *partWorkspace, item *condItem, pool []regress.Model, capped bool) (nodeEval, error) {
+	// The cancellation point: a canceled or expired context stops every
+	// worker within one queue iteration.
+	if err := ctx.Err(); err != nil {
+		return nodeEval{}, canceled(err)
+	}
+	if !capped {
+		s.tel.nodes.Inc()
+		return ws.evaluate(item, pool)
+	}
+	// The MaxNodes runaway guard tripped: stop refining and accept a model
+	// for every part still queued — Problem 1 requires Σ to cover D, so
+	// abandoned parts are not an option.
+	p := ws.part(item.idxs)
+	model, _, err := ws.trainPart(item, p)
+	if err != nil {
+		return nodeEval{}, err
+	}
+	return nodeEval{model: model, maxErr: ws.scanner.MaxAbs(model, p), accept: true, forced: true}, nil
+}
+
+// finish publishes one finished item under the lock: its rule, the
+// statistics and its children, or the run's first error. The rule's
+// condition and the children's visited keys are built before the lock is
+// taken.
+func (s *search) finish(item *condItem, ev nodeEval, err error) {
+	// Refinement accumulates one predicate per split; normalizing collapses
+	// them to minimal per-attribute bounds.
+	var conj predicate.Conjunction
+	switch {
+	case err != nil:
+	case ev.hit:
+		// Lines 7–10: model sharing via the δ0 test.
+		conj = item.conj.Clone()
+		conj.Builtin = conj.Builtin.WithYShift(ev.share.Delta0)
+		conj = conj.Normalize()
+	case ev.accept:
+		conj = item.conj.Normalize()
+	default:
+		// Lines 19–22: the children of a refined condition. The visited set
+		// keys on the normalized conjunction, so syntactically different but
+		// equivalent refinements (a≤5 ∧ a≤3 vs a≤3, overlapping Prop8 paths)
+		// expand once — equivalent conjunctions select the same part, so
+		// coverage is preserved by whichever spelling was queued first.
+		for i := range ev.children {
+			ch := &ev.children[i]
+			ch.key = conjKey(ch.conj.Normalize())
+		}
+	}
+
+	s.mu.Lock()
+	st, tel := &s.out.Stats, s.tel
+	switch {
+	case err != nil:
+		if s.err == nil {
+			s.err = err
+		}
+	case ev.hit:
+		st.ShareHits++
+		tel.shared.Inc()
+		s.emit(ev.model, ev.share.MaxErr, conj)
+	case ev.accept:
+		st.ModelsTrained++
+		tel.trained.Inc()
+		if ev.forced {
+			st.ForcedRules++
+			tel.forced.Inc()
+		}
+		s.emit(ev.model, ev.maxErr, conj)
+		s.shared = append(s.shared, ev.model)
+	default:
+		st.ModelsTrained++
+		tel.trained.Inc()
+		for i := range ev.children {
+			if s.visited[ev.children[i].key] {
+				continue
+			}
+			// A copy, so a finished sibling's rows are not kept alive.
+			ch := ev.children[i]
+			s.visited[ch.key] = true
+			// Children carry the parent's ind(C) as queue priority (Line 22).
+			ch.prio = ev.ind
+			switch s.cfg.Order {
+			case Increase:
+				ch.prio = -ev.ind
+			case RandomOrder:
+				ch.prio = s.rng.Float64()
+			}
+			ch.seq = s.q.nextSeq()
+			heap.Push(&s.q, &ch)
+		}
+	}
+	s.inflight--
+	tel.queueDepth.Set(float64(s.q.Len()))
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// emit appends a rule; under FuseShared a model that already has a rule
+// extends it instead. Call with the lock held.
+func (s *search) emit(model regress.Model, rho float64, conj predicate.Conjunction) {
+	rules := s.out.Rules
+	if s.cfg.FuseShared {
+		if ri, ok := s.ruleOf[model]; ok {
+			r := &rules.Rules[ri]
+			r.Cond.Conjs = append(r.Cond.Conjs, conj)
+			if rho > r.Rho {
+				r.Rho = rho // Generalization before Fusion
+			}
+			return
+		}
+		s.ruleOf[model] = len(rules.Rules)
+	}
+	rules.Rules = append(rules.Rules, CRR{
+		Model:  model,
+		Rho:    rho,
+		Cond:   predicate.NewDNF(conj),
+		XAttrs: rules.XAttrs,
+		YAttr:  s.cfg.YAttr,
+	})
+}
+
+// sortRules orders rules stably by the key of their first conjunction,
+// building each key once.
+func sortRules(rules []CRR) {
+	keys := make([]string, len(rules))
+	for i := range rules {
+		if conjs := rules[i].Cond.Conjs; len(conjs) > 0 {
+			keys[i] = conjKey(conjs[0])
+		}
+	}
+	sort.Stable(rulesByKey{rules, keys})
+}
+
+// rulesByKey sorts rules by keys, moving both together.
+type rulesByKey struct {
+	rules []CRR
+	keys  []string
+}
+
+func (r rulesByKey) Len() int           { return len(r.rules) }
+func (r rulesByKey) Less(i, j int) bool { return r.keys[i] < r.keys[j] }
+func (r rulesByKey) Swap(i, j int) {
+	r.rules[i], r.rules[j] = r.rules[j], r.rules[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
 }
 
 // DiscoverTargets runs the discovery engine once per target column, sharing
@@ -865,11 +988,13 @@ func conjKey(c predicate.Conjunction) string {
 }
 
 // condItem is a queue entry (C, priority). gram carries the part's
-// sufficient statistics when the fast path applies (see hotpath.go).
+// sufficient statistics when the fast path applies (see hotpath.go); key is
+// a child's visited-set key, set when its parent is published.
 type condItem struct {
 	conj predicate.Conjunction
 	idxs []int
 	gram *regress.Gram
+	key  string
 	prio float64
 	seq  int
 }

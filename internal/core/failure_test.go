@@ -3,18 +3,20 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/crrlab/crr/internal/regress"
 )
 
 // failingTrainer errors after a configurable number of successful fits,
-// injecting mid-run training failures.
+// injecting mid-run training failures. Several workers may call it at once.
 type failingTrainer struct {
 	inner     regress.Trainer
-	failAfter int
-	calls     int
+	failAfter int64
+	calls     atomic.Int64
 }
 
 var errInjected = errors.New("injected training failure")
@@ -22,8 +24,7 @@ var errInjected = errors.New("injected training failure")
 func (f *failingTrainer) Name() string { return "failing" }
 
 func (f *failingTrainer) Train(x [][]float64, y []float64) (regress.Model, error) {
-	f.calls++
-	if f.calls > f.failAfter {
+	if f.calls.Add(1) > f.failAfter {
 		return nil, errInjected
 	}
 	return f.inner.Train(x, y)
@@ -54,13 +55,29 @@ func TestDiscoverMidRunTrainerError(t *testing.T) {
 func TestDiscoverParallelPropagatesTrainerError(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 33)
 	cfg := discoverCfg(rel, 0.5)
-	// The failing trainer is stateful and accessed by several workers; the
-	// calls counter races harmlessly for the purposes of this test, but use
-	// failAfter 0 so every call fails deterministically.
 	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
 	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); !errors.Is(err, errInjected) {
 		t.Fatalf("parallel err = %v, want the injected failure", err)
 	}
+}
+
+// TestDiscoverParallelMidRunTrainerError fails a fit while several workers
+// are busy: the first error must win with peers in flight, the result must
+// be nil, and every worker must exit.
+func TestDiscoverParallelMidRunTrainerError(t *testing.T) {
+	rel, cfg := electricityMine(t, 8000)
+	cfg.Workers = 4
+	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 8}
+	before := runtime.NumGoroutine()
+
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected failure", err)
+	}
+	if res != nil {
+		t.Fatal("failed discovery returned a partial result")
+	}
+	requireGoroutineBaseline(t, before)
 }
 
 func TestMaintainPropagatesTrainerError(t *testing.T) {

@@ -1,6 +1,6 @@
 package core
 
-// The part-workspace performance layer under both discovery engines.
+// The part-workspace performance layer under the lattice engine's workers.
 //
 // Algorithm 1's cost is dominated by three per-node re-computations: the
 // FeatureRows materialization of the part, the two ShareTest scans over the
@@ -17,21 +17,20 @@ package core
 //     fraction off them, returning the Proposition-6 share hit and ind(C)
 //     together; the ρ check of a fresh model reads the same kernel;
 //   - queue items carry regress.Gram sufficient statistics, accumulated when
-//     a split's children are materialized (the largest child for free as
-//     parent − siblings), so Line-13 training is an O(d³) normal-equation
-//     solve instead of an O(n·d²) re-pass. Trainers without the fast path
-//     (the MLP) and degenerate parts keep the exact full-pass fit.
+//     a split's children are materialized, so Line-13 training is an O(d³)
+//     normal-equation solve instead of an O(n·d²) re-pass. Trainers without
+//     the fast path (the MLP) and degenerate parts keep the exact full-pass
+//     fit.
 //
-// The sequential and parallel engines share this hot loop (evaluate), so
-// they cannot drift behaviorally: accept/force/split decisions, Proposition
-// 8 split sizing and MinSupport handling are decided in exactly one place.
+// Every worker runs this hot loop (evaluate), so accept/force/split
+// decisions, Proposition 8 split sizing and MinSupport handling are decided
+// in exactly one place.
 
 import (
 	"fmt"
 	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
-	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 )
 
@@ -52,20 +51,9 @@ type hotLoop struct {
 	// (trainer implements regress.GramTrainer and the signature has
 	// features; a width-0 fit needs the full pass for its minimax constant).
 	gram regress.GramTrainer
-	// needInd reports that the engine consumes ind(C) even when the share
-	// scan cannot provide it (sequential queue priority, Proposition 8 split
-	// sizing) — the DisableSharing ablation then still pays for Line 12.
-	needInd bool
-	// exact requires bitwise-reproducible fits: every child Gram is
-	// accumulated fresh in row order, making the fast path's output
-	// byte-identical to the full pass. The sequential engine sets it (its
-	// output is a determinism contract); the parallel engine, whose rule
-	// order already varies run-to-run, trades it for the cheaper
-	// sibling = parent − child derivation, which drifts by ulps.
-	exact bool
 }
 
-func newHotLoop(cols *dataset.ColumnSet, cfg *DiscoverConfig, si *splitIndex, tel discTel, exact bool) *hotLoop {
+func newHotLoop(cols *dataset.ColumnSet, cfg *DiscoverConfig, si *splitIndex, tel discTel) *hotLoop {
 	hl := &hotLoop{
 		cfg: cfg,
 		si:  si,
@@ -74,11 +62,9 @@ func newHotLoop(cols *dataset.ColumnSet, cfg *DiscoverConfig, si *splitIndex, te
 			rowsScanned: tel.rowsScanned,
 			selectivity: tel.filterSel,
 		},
-		ycol:    cols.Float(cfg.YAttr),
-		dim:     len(cfg.XAttrs),
-		tel:     tel,
-		needInd: exact || cfg.Prop8Splits,
-		exact:   exact,
+		ycol: cols.Float(cfg.YAttr),
+		dim:  len(cfg.XAttrs),
+		tel:  tel,
 	}
 	hl.xcols = make([][]float64, len(cfg.XAttrs))
 	for i, a := range cfg.XAttrs {
@@ -114,9 +100,10 @@ func (hl *hotLoop) rootGram(all []int) *regress.Gram {
 	return hl.gramOf(all)
 }
 
-// workspace returns a fresh per-worker scratch workspace.
-func (hl *hotLoop) workspace() *partWorkspace {
-	return &partWorkspace{loop: hl}
+// workspace returns a fresh per-worker scratch workspace; exact selects how
+// it derives child Grams (see partWorkspace.exact).
+func (hl *hotLoop) workspace(exact bool) *partWorkspace {
+	return &partWorkspace{loop: hl, exact: exact}
 }
 
 // partWorkspace is one worker's reusable scratch: the gathered part lanes,
@@ -126,7 +113,13 @@ func (hl *hotLoop) workspace() *partWorkspace {
 // node, so trainers must not retain the design beyond Train (the built-in
 // families copy or consume it inside the call).
 type partWorkspace struct {
-	loop    *hotLoop
+	loop *hotLoop
+	// exact accumulates every child Gram fresh in row order, so a fast-path
+	// fit is bitwise identical to the full pass: the one-worker lattice and
+	// the Substrate kernels set it. Several workers, whose output order
+	// varies run to run anyway, derive the largest child as parent − Σ
+	// siblings instead, which is cheaper and drifts by ulps.
+	exact   bool
 	lanes   []float64   // column-major gather backing: the X lanes, then Y
 	xs      [][]float64 // the part's X lane headers, one per X attribute
 	scanner regress.ShareScanner
@@ -217,21 +210,13 @@ type nodeEval struct {
 	ind      float64             // sharing index ind(C) (valid when !hit)
 	accept   bool                // emit the fresh model as a rule
 	forced   bool                // acceptance came from MinSupport / no-split coverage
-	children []childItem         // refinements to enqueue when !accept
+	children []condItem          // refinements to enqueue when !accept
 }
 
-// childItem is one refinement C ∧ p, carrying the rows it selects and (when
-// the fast path applies) its sufficient statistics.
-type childItem struct {
-	pred predicate.Predicate
-	idxs []int
-	gram *regress.Gram
-}
-
-// evaluate runs the shared hot loop for one queue item against the model
-// pool F. Both engines call it, so the Algorithm 1 semantics — newest-first
-// δ0 sharing, ind(C), ρ_M acceptance, the MinSupport floor, Proposition 8
-// split sizing and the coverage-forced acceptance — live in one place.
+// evaluate runs the hot loop for one queue item against the model pool F,
+// so the Algorithm 1 semantics — newest-first δ0 sharing, ind(C), ρ_M
+// acceptance, the MinSupport floor, Proposition 8 split sizing and the
+// coverage-forced acceptance — live in one place.
 func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEval, error) {
 	hl := ws.loop
 	cfg := hl.cfg
@@ -253,7 +238,7 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 			return ev, nil
 		}
 		ev.ind = ind
-	} else if hl.needInd {
+	} else {
 		// The ablation still orders the queue (and sizes Proposition 8
 		// splits) by ind(C), so Line 12 runs even with sharing off.
 		start := time.Now()
@@ -292,7 +277,7 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 		}
 	}
 	for _, group := range ws.topSplits(item.idxs, k) {
-		ev.children = append(ev.children, hl.childItems(item, group)...)
+		ev.children = append(ev.children, ws.childItems(item, group)...)
 	}
 	if len(ev.children) == 0 {
 		// No applicable predicate can split this part: accept to guarantee
@@ -302,18 +287,16 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 	return ev, nil
 }
 
-// childItems materializes one split group's children with their sufficient
-// statistics. Every group returned by topSplits partitions the parent
-// (numeric {>c, ≤c} pairs over null- and NaN-free values; categorical fans
-// covering every present value).
-// In exact mode every child is accumulated fresh from the cached columns in
-// row order (bitwise identical to a full-pass fit); otherwise all but the
-// largest child are accumulated and the largest comes for free as
-// parent − Σ siblings, at the cost of ulp-level drift.
-func (hl *hotLoop) childItems(item *condItem, group []childPart) []childItem {
-	out := make([]childItem, len(group))
+// childItems materializes one split group's children C ∧ p with their
+// sufficient statistics. Every group returned by topSplits partitions the
+// parent (numeric {>c, ≤c} pairs over null- and NaN-free values;
+// categorical fans covering every present value), so the largest child's
+// Gram can be derived when the workspace is not exact.
+func (ws *partWorkspace) childItems(item *condItem, group []childPart) []condItem {
+	hl := ws.loop
+	out := make([]condItem, len(group))
 	for i, ch := range group {
-		out[i] = childItem{pred: ch.pred, idxs: ch.idxs}
+		out[i] = condItem{conj: item.conj.And(ch.pred), idxs: ch.idxs}
 	}
 	if hl.gram == nil || item.gram == nil {
 		return out
@@ -325,7 +308,7 @@ func (hl *hotLoop) childItems(item *condItem, group []childPart) []childItem {
 		}
 	}
 	var sibling *regress.Gram
-	if !hl.exact {
+	if !ws.exact {
 		sibling = item.gram.Clone()
 	}
 	for i := range out {

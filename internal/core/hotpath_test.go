@@ -10,10 +10,9 @@ import (
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
-// TestParallelEnforcesMaxNodes is the parity fix for the runaway guard: the
-// parallel engine must cap queue expansions at cfg.MaxNodes exactly like the
-// sequential engine, and drain the remaining parts as forced rules so the
-// output still covers D (Problem 1).
+// TestParallelEnforcesMaxNodes checks the runaway guard at every worker
+// count: queue expansions stop at cfg.MaxNodes, and the remaining parts
+// drain as forced rules so the output still covers D (Problem 1).
 func TestParallelEnforcesMaxNodes(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
 	cfg := discoverCfg(rel, 0.05) // tight ρ_M forces deep refinement
@@ -41,9 +40,9 @@ func TestParallelEnforcesMaxNodes(t *testing.T) {
 	}
 }
 
-// TestParallelHonorsProp8Splits is the second parity fix: with Prop8Splits
-// the parallel engine must size splits by ind(C) like the sequential engine
-// instead of silently falling back to the single best cut.
+// TestParallelHonorsProp8Splits: with Prop8Splits, several workers size
+// splits by ind(C) like one worker instead of silently falling back to the
+// single best cut.
 func TestParallelHonorsProp8Splits(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
@@ -71,8 +70,7 @@ func TestParallelHonorsProp8Splits(t *testing.T) {
 	}
 	// Proposition 8's overlapping children mean the multi-split run explores
 	// at least as much as the binary run would; the real assertion is that
-	// both engines terminate with full coverage, which the old parallel
-	// engine only achieved by ignoring the option.
+	// both worker counts terminate with full coverage.
 	if seq.Stats.NodesExpanded == 0 || par.Stats.NodesExpanded == 0 {
 		t.Error("degenerate run")
 	}

@@ -59,9 +59,9 @@ func WithTrainer(t regress.Trainer) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Trainer = t }
 }
 
-// WithWorkers sets the discovery worker count: 0 or 1 runs the sequential
-// engine (exact ind(C) queue ordering), n > 1 the parallel engine with n
-// workers, and negative values select one worker per CPU.
+// WithWorkers sets the discovery worker count (see DiscoverConfig.Workers):
+// 0 means 1 and negative values runtime.NumCPU(). Only one worker is
+// deterministic; several pop the same ind(C) queue concurrently.
 func WithWorkers(n int) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Workers = n }
 }
@@ -81,7 +81,7 @@ func WithTelemetry(r *telemetry.Registry) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Telemetry = r }
 }
 
-// WithOrder selects the ind(C) queue ordering (sequential engine only).
+// WithOrder selects the ind(C) queue ordering.
 func WithOrder(o QueueOrder) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Order = o }
 }

@@ -10,12 +10,13 @@ package core
 // path.
 //
 // A Strategy receives a prepared *Substrate and returns the discovered
-// rules. The built-in LatticeStrategy re-expresses the sequential and
-// parallel engines of discover.go / parallel.go on the seam; the
-// internal/induction package contributes growprune.
+// rules. The built-in LatticeStrategy runs the lattice engine of
+// discover.go on the seam; the internal/induction package contributes
+// growprune.
 
 import (
 	"context"
+	"runtime"
 
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
@@ -34,8 +35,9 @@ import (
 //     unchanged on any strategy's output.
 //   - ctx is honored at the strategy's natural iteration granularity;
 //     cancellation returns an error wrapping ErrCanceled (use Canceled).
-//   - Determinism follows the configuration: with Workers ≤ 1 a strategy
-//     must be deterministic for a fixed Seed.
+//   - Determinism follows the resolved worker count: Workers < 0 means
+//     runtime.NumCPU() workers and 0 means one. With one worker a strategy
+//     must be deterministic for a fixed Seed; with more it need not be.
 //
 // Strategies are stateless values; a single Strategy may be used for many
 // concurrent discoveries (each call gets its own Substrate).
@@ -56,7 +58,7 @@ func Canceled(cause error) error { return canceled(cause) }
 // SSE split scoring), Gram sufficient-statistics training and the
 // single-pass share scanner. Strategies consume it through the exported
 // methods below; the kernels are NOT safe for concurrent use from multiple
-// goroutines (the parallel lattice engine builds per-worker workspaces
+// goroutines (the lattice's workers each build their own workspace
 // instead).
 type Substrate struct {
 	cols     *dataset.ColumnSet // the run's data, built once per run
@@ -65,10 +67,9 @@ type Substrate struct {
 	fallback float64            // mean of Y over the trainable rows
 	tel      discTel
 
-	si      *splitIndex    // lazy, with the run's rank lanes
-	hotEx   *hotLoop       // lazy: exact (bitwise-reproducible) kernels
-	hotFast *hotLoop       // lazy: sibling-derivation Gram kernels
-	kws     *partWorkspace // lazy: scratch for the kernel methods
+	si  *splitIndex    // lazy, with the run's rank lanes
+	hl  *hotLoop       // lazy
+	kws *partWorkspace // lazy: scratch for the kernel methods
 }
 
 // newSubstrate validates cfg against cols (mutating it to its effective
@@ -107,8 +108,8 @@ func (s *Substrate) Config() DiscoverConfig { return *s.cfg }
 func (s *Substrate) TrainableRows() []int { return s.all }
 
 // NewResult returns a fresh result skeleton carrying the run's signature and
-// the mean-of-Y fallback — identical to the skeleton the lattice engines
-// start from, so every strategy's output composes with the codec, compaction
+// the mean-of-Y fallback — identical to the skeleton the lattice engine
+// starts from, so every strategy's output composes with the codec, compaction
 // and serving layers.
 func (s *Substrate) NewResult() *DiscoverResult {
 	return &DiscoverResult{Rules: &RuleSet{
@@ -125,12 +126,12 @@ func (s *Substrate) Columns() *dataset.ColumnSet { return s.cols }
 // Filter returns the subset of idxs satisfying p, preserving order, through
 // the run's vectorized columnar sweep.
 func (s *Substrate) Filter(idxs []int, p predicate.Predicate) []int {
-	return s.hot(true).sc.filterIdxs(idxs, p, nil)
+	return s.hot().sc.filterIdxs(idxs, p, nil)
 }
 
 // SSE returns Σ (y − ȳ)² of the target over the selected rows.
 func (s *Substrate) SSE(idxs []int) float64 {
-	return s.hot(true).sc.sse(idxs, s.cfg.YAttr)
+	return s.hot().sc.sse(idxs, s.cfg.YAttr)
 }
 
 // SplitChild is one child of a candidate split: the refining predicate and
@@ -170,7 +171,7 @@ func (s *Substrate) TopSplits(idxs []int, k int) [][]SplitChild {
 func (s *Substrate) Fit(idxs []int) (regress.Model, error) {
 	ws := s.workspace()
 	item := &condItem{idxs: idxs}
-	if hl := s.hot(true); hl.gram != nil {
+	if hl := s.hot(); hl.gram != nil {
 		item.gram = hl.gramOf(idxs)
 	}
 	m, _, err := ws.trainPart(item, ws.part(idxs))
@@ -187,7 +188,7 @@ func (s *Substrate) MaxAbsError(m regress.Model, idxs []int) float64 {
 // GramOf accumulates the part's sufficient statistics in row order, or nil
 // when the configured trainer has no Gram fast path.
 func (s *Substrate) GramOf(idxs []int) *regress.Gram {
-	hl := s.hot(true)
+	hl := s.hot()
 	if hl.gram == nil {
 		return nil
 	}
@@ -211,50 +212,43 @@ func (s *Substrate) splitIdx() *splitIndex {
 	return s.si
 }
 
-// hot returns the run's hot loop, built lazily: exact kernels accumulate
-// every child Gram fresh in row order (bitwise-reproducible output, the
-// sequential contract), the fast variant derives the largest sibling as
-// parent − siblings (ulp drift, used by the parallel lattice engine).
-func (s *Substrate) hot(exact bool) *hotLoop {
-	if exact {
-		if s.hotEx == nil {
-			s.hotEx = newHotLoop(s.cols, s.cfg, s.splitIdx(), s.tel, true)
-		}
-		return s.hotEx
+// hot returns the run's hot loop, built lazily.
+func (s *Substrate) hot() *hotLoop {
+	if s.hl == nil {
+		s.hl = newHotLoop(s.cols, s.cfg, s.splitIdx(), s.tel)
 	}
-	if s.hotFast == nil {
-		s.hotFast = newHotLoop(s.cols, s.cfg, s.splitIdx(), s.tel, false)
-	}
-	return s.hotFast
+	return s.hl
 }
 
 // workspace returns the substrate's own kernel scratch (not the per-worker
-// workspaces of the lattice engines). The gathered buffers are recycled
-// across calls, which is why the kernel methods are single-goroutine.
+// workspaces of the lattice engine), exact so the kernels are bitwise
+// reproducible. The gathered buffers are recycled across calls, which is
+// why the kernel methods are single-goroutine.
 func (s *Substrate) workspace() *partWorkspace {
 	if s.kws == nil {
-		s.kws = s.hot(true).workspace()
+		s.kws = s.hot().workspace(true)
 	}
 	return s.kws
 }
 
 // LatticeStrategy is Algorithm 1 — the paper's priority-queue lattice walk
-// with model sharing — expressed as the default induction strategy. With
-// Workers ≤ 1 it runs the sequential engine (exact ind(C) ordering,
-// bitwise-reproducible output); Workers > 1 or < 0 selects the parallel
-// engine.
+// with model sharing — expressed as the default induction strategy. It runs
+// with the resolved worker count (Workers < 0: runtime.NumCPU(); 0: one).
+// One worker pops in exact ind(C) order and its output is bitwise
+// reproducible; several workers race over the same queue, so their rule set
+// may vary run to run.
 type LatticeStrategy struct{}
 
 // Name implements Strategy.
 func (LatticeStrategy) Name() string { return "lattice" }
 
-// Induce implements Strategy by dispatching on the configured worker count,
-// exactly as the pre-seam engine dispatch did.
+// Induce implements Strategy.
 func (LatticeStrategy) Induce(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
-	if sub.cfg.Workers > 1 || sub.cfg.Workers < 0 {
-		return latticePar(ctx, sub)
+	workers := sub.cfg.Workers
+	if workers < 0 {
+		workers = runtime.NumCPU()
 	}
-	return latticeSeq(ctx, sub)
+	return lattice(ctx, sub, max(workers, 1))
 }
 
 // strategyOf resolves the configured strategy, defaulting to the lattice.

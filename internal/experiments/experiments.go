@@ -82,8 +82,6 @@ type CRRMethod struct {
 	DisableSharing bool
 	// Seed drives random predicate generation and RandomOrder.
 	Seed int64
-	// Workers selects the parallel discovery engine when > 1.
-	Workers int
 	// Telemetry is passed through to the discovery engine.
 	Telemetry *telemetry.Registry
 
@@ -139,7 +137,6 @@ func (m *CRRMethod) Fit(rel *dataset.Relation, xattrs []int, yattr int) error {
 		Seed:           m.Seed,
 		DisableSharing: m.DisableSharing,
 		FuseShared:     m.FuseShared,
-		Workers:        m.Workers,
 		Telemetry:      m.Telemetry,
 	}))
 	if err != nil {

@@ -89,8 +89,8 @@ func TestFullPipelinePerDataset(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialQuality cross-checks the parallel engine
-// (WithWorkers) against the sequential one on two dataset stand-ins.
+// TestParallelMatchesSequentialQuality cross-checks four discovery workers
+// (WithWorkers) against one on two dataset stand-ins.
 func TestParallelMatchesSequentialQuality(t *testing.T) {
 	for _, spec := range []DatasetSpec{ElectricitySpec(), TaxSpec()} {
 		rel := spec.Gen(2000)

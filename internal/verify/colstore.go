@@ -22,14 +22,14 @@ import (
 //     of the adopted ColumnSet must be bitwise-identical to the ColumnSet
 //     built directly from the relation;
 //   - discovery parity: DiscoverColumns over the store must reproduce the
-//     canonical sequential columnar rule set bitwise — conditions, ρ bits
+//     canonical one-worker columnar rule set bitwise — conditions, ρ bits
 //     and model coefficients.
 
 // colstoreChunkRows keeps the oracle build multi-chunk on every target size.
 const colstoreChunkRows = 173
 
 // colstoreOracle builds, reopens and diffs the store. rules is the canonical
-// sequential columnar result from the discovery matrix.
+// one-worker columnar result from the discovery matrix.
 func (rn *runner) colstoreOracle(ctx context.Context, t Target, rules *core.RuleSet) error {
 	dir, err := os.MkdirTemp("", "crr-verify-colstore-*")
 	if err != nil {

@@ -11,19 +11,19 @@ import (
 	"github.com/crrlab/crr/internal/predicate"
 )
 
-// Cross-engine oracles: the discovery matrix over the sequential and
-// parallel engines, the kernel oracle, and the row-vs-columnar parity checks
-// of every classification surface.
+// Cross-engine oracles: the discovery matrix over one and several lattice
+// workers, the kernel oracle, and the row-vs-columnar parity checks of every
+// classification surface.
 
-// discoveryMatrix mines the target with the sequential and the parallel
-// engine and checks both semantically — every trainable row covered, every
-// rule satisfied by the data; the parallel engine is deterministic only as
-// a coverage (model sharing depends on pop order). The kernel oracle checks
-// the scan kernels both engines share against tuple-at-a-time references,
-// once over the binary space, where a cut bucket holds many rows, and once
-// over the paper-default space (a cut at every distinct value), where
-// buckets hold tied rows only. The sequential result — the canonical
-// engine — is returned for the downstream oracles.
+// discoveryMatrix mines the target with one lattice worker ("seq") and with
+// several ("par") and checks both semantically — every trainable row
+// covered, every rule satisfied by the data; several workers are
+// deterministic only as a coverage (model sharing depends on pop order). The
+// kernel oracle checks the scan kernels every worker runs against
+// tuple-at-a-time references, once over the binary space, where a cut
+// bucket holds many rows, and once over the paper-default space (a cut at
+// every distinct value), where buckets hold tied rows only. The one-worker
+// result — the deterministic one — is returned for the downstream oracles.
 func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet, error) {
 	type mode struct {
 		name    string

@@ -1,6 +1,6 @@
 // Package verify is the differential-testing and invariant-checking
 // subsystem of the CRR engine. The repo carries several independent
-// execution paths that must agree — sequential vs parallel discovery, the
+// execution paths that must agree — one vs several discovery workers, the
 // columnar scan kernels vs tuple-at-a-time references, the interval-indexed
 // Predict vs a linear rule scan, in-process classification vs the served
 // HTTP endpoints, and the codec round-trip — plus a compaction pass whose
@@ -8,7 +8,7 @@
 // of it mechanically, and holds the tuple-at-a-time references the
 // production paths no longer carry:
 //
-//   - Cross-engine oracles: sequential and parallel discovery checked for
+//   - Cross-engine oracles: one- and several-worker discovery checked for
 //     coverage and rule validity, the discovery kernels checked bitwise
 //     against tuple references along the best-split tree
 //     (KernelsVsTuples), Predict/PredictBatch/Violations/Explain
@@ -63,8 +63,8 @@ type Target struct {
 
 // Options tunes a verification run.
 type Options struct {
-	// Workers is the parallel-engine width for the discovery matrix;
-	// default 4.
+	// Workers is the worker count of the discovery matrix's several-worker
+	// mode; default 4.
 	Workers int
 	// Seed drives the deterministic row permutation of the metamorphic
 	// suite.
@@ -266,7 +266,7 @@ func (rn *runner) runTarget(ctx context.Context, t Target) (*DatasetReport, erro
 
 // baseConfig assembles the discovery configuration the oracles share: the
 // paper-default binary predicate space over the target's condition
-// attributes and an OLS trainer, on the sequential columnar engine.
+// attributes and an OLS trainer, with one worker.
 func baseConfig(t Target, rel *dataset.Relation, predSize int) core.DiscoverConfig {
 	preds := predicate.Generate(rel, t.CondAttrs, predicate.GeneratorConfig{
 		Kind: predicate.Binary, Size: predSize,
