@@ -29,6 +29,7 @@ import (
 	"os/signal"
 	"time"
 
+	"github.com/crrlab/crr/internal/cliutil"
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/telemetry"
 )
@@ -72,28 +73,11 @@ func main() {
 		os.Exit(1)
 	}
 	if *metrics != "" {
-		if err := writeMetrics(*metrics, reg.Snapshot()); err != nil {
+		if err := cliutil.WriteMetrics(os.Stdout, *metrics, reg.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "crrbench:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeMetrics dumps the aggregate sweep counters in the same Prometheus
-// text exposition crrserve serves at GET /metrics.
-func writeMetrics(path string, snap telemetry.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // run writes the selected experiments to w in the given format and mirrors

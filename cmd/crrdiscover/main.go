@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/crrlab/crr/internal/cliutil"
 	"github.com/crrlab/crr/internal/colstore"
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
@@ -308,26 +309,9 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 		fmt.Fprintln(w, line)
 	}
 	if rc.metrics != "" {
-		if err := writeMetrics(w, rc.metrics, snap); err != nil {
+		if err := cliutil.WriteMetrics(w, rc.metrics, snap); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeMetrics dumps the snapshot in the same Prometheus text exposition
-// crrserve serves at GET /metrics, to path ("-" = the run's own output).
-func writeMetrics(w io.Writer, path string, snap telemetry.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(w)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

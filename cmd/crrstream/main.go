@@ -1,9 +1,10 @@
 // Command crrstream replays a CSV as a live row stream against a discovered
 // rule-set artifact: rows enter a sliding window, per-rule sufficient
-// statistics absorb them rank-1, drifting rules are re-fit or retired
-// (internal/stream), and refreshed rule sets are periodically swapped out —
-// to a JSON artifact on disk (-save), to a running crrserve via its hot
-// reload endpoint (-push), or both.
+// statistics absorb them rank-1, rules are re-fit, and a rule whose refit
+// breaks the bias bound ρM on its re-derived selection is retired
+// (internal/stream). Refreshed rule sets are periodically swapped out — to a
+// JSON artifact on disk (-save), to a running crrserve via its hot reload
+// endpoint (-push), or both.
 //
 // Usage:
 //
@@ -15,8 +16,10 @@
 // crrstream refuses a mismatched feed rather than guessing a column mapping.
 // -rate throttles the replay to N rows/second (0 replays as fast as the
 // maintainer accepts). A telemetry summary — rows ingested, refits, drift
-// events, retires, swaps — is printed after the run, with the same stream.*
-// metric names crrserve exposes.
+// events (refits beyond ρM), retires, swaps — is printed after the run, with
+// the same stream.* metric names crrserve exposes. SIGINT or SIGTERM stops
+// the replay after the current row; the final flush still writes -save but
+// pushes nothing, and a push in flight is abandoned.
 package main
 
 import (
@@ -25,16 +28,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
+	"github.com/crrlab/crr/internal/cliutil"
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/eval"
 	"github.com/crrlab/crr/internal/stream"
 	"github.com/crrlab/crr/internal/telemetry"
+	"github.com/crrlab/crr/pkg/client"
 )
 
 func main() {
@@ -46,18 +51,17 @@ func main() {
 		warmup    = flag.Int("warmup", 0, "rows ingested before the first swap is considered")
 		swapEvery = flag.Int("swap-every", 1000, "consider a swap after this many rows (0 = only at end of stream)")
 		rhoM      = flag.Float64("rho", 0, "maximum tolerable bias ρ_M; pass the bound discovery ran with (0 = 1.5 × the artifact's largest ρ, a generous allowance for window-sampling wobble)")
-		alpha     = flag.Float64("alpha", 0, "Chow-test significance for drift detection (default 0.001)")
 		push      = flag.String("push", "", "crrserve base URL to hot-swap refreshed rule sets into (POST /v1/reload)")
 		save      = flag.String("save", "", "write each refreshed rule set as JSON to this path")
 		metrics   = flag.String("metrics", "", "write the run's metrics in Prometheus text format to this path (\"-\" = stdout)")
 		verbose   = flag.Bool("v", false, "log per-swap progress")
 	)
 	flag.Parse()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Stdout, runConfig{
 		input: *input, rulesPath: *rulesPath, window: *window, rate: *rate,
-		warmup: *warmup, swapEvery: *swapEvery, rhoM: *rhoM, alpha: *alpha,
+		warmup: *warmup, swapEvery: *swapEvery, rhoM: *rhoM,
 		push: *push, save: *save, metrics: *metrics, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "crrstream:", err)
@@ -70,7 +74,7 @@ type runConfig struct {
 	window            int
 	rate              float64
 	warmup, swapEvery int
-	rhoM, alpha       float64
+	rhoM              float64
 	push, save        string
 	metrics           string
 	verbose           bool
@@ -119,7 +123,7 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 		}
 	}
 	reg := telemetry.New()
-	cfg := stream.Config{Window: rc.window, RhoM: rho, Alpha: rc.alpha, Registry: reg}
+	cfg := stream.Config{Window: rc.window, RhoM: rho, Registry: reg}
 	if rc.verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "crrstream: "+format+"\n", args...)
@@ -132,6 +136,10 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 	fmt.Fprintf(w, "maintaining %d rules (y=%s, ρM=%.4g) over a %d-row window, %d-row feed\n",
 		rules.NumRules(), rules.YName(), rho, rc.window, rel.Len())
 
+	var pusher *client.Client
+	if rc.push != "" {
+		pusher = client.New(rc.push)
+	}
 	var throttle <-chan time.Time
 	if rc.rate > 0 {
 		t := time.NewTicker(time.Duration(float64(time.Second) / rc.rate))
@@ -151,7 +159,7 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 			return fmt.Errorf("row %d: %w", i+1, err)
 		}
 		if rc.swapEvery > 0 && i+1 > rc.warmup && (i+1)%rc.swapEvery == 0 {
-			n, err := maybeSwap(w, m, rc, i+1)
+			n, err := maybeSwap(ctx, w, m, pusher, rc, i+1)
 			if err != nil {
 				return err
 			}
@@ -159,7 +167,7 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 		}
 	}
 	// Final flush: publish the end-of-stream state even off the swap cadence.
-	n, err := maybeSwap(w, m, rc, rel.Len())
+	n, err := maybeSwap(ctx, w, m, pusher, rc, rel.Len())
 	if err != nil {
 		return err
 	}
@@ -174,7 +182,7 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 		fmt.Fprintln(w, line)
 	}
 	if rc.metrics != "" {
-		if err := writeMetrics(w, rc.metrics, reg.Snapshot()); err != nil {
+		if err := cliutil.WriteMetrics(w, rc.metrics, reg.Snapshot()); err != nil {
 			return err
 		}
 	}
@@ -183,8 +191,10 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 
 // maybeSwap flushes pending refits and, when anything changed since the last
 // snapshot, publishes a refreshed rule set to every configured sink. Returns
-// the number of swaps performed (0 or 1).
-func maybeSwap(w io.Writer, m *stream.Maintainer, rc runConfig, row int) (int, error) {
+// the number of swaps performed (0 or 1). Once ctx is done the rule set is
+// still saved but not pushed; a push that ctx cuts short is not an error,
+// since the replay stops after this row.
+func maybeSwap(ctx context.Context, w io.Writer, m *stream.Maintainer, pusher *client.Client, rc runConfig, row int) (int, error) {
 	m.Refit()
 	if !m.Changed() {
 		return 0, nil
@@ -203,8 +213,12 @@ func maybeSwap(w io.Writer, m *stream.Maintainer, rc runConfig, row int) (int, e
 			return 0, err
 		}
 	}
-	if rc.push != "" {
-		if err := pushReload(rc.push, snap); err != nil {
+	if pusher != nil && ctx.Err() == nil {
+		var body bytes.Buffer
+		if err := core.WriteRuleSet(&body, snap); err != nil {
+			return 0, err
+		}
+		if _, err := pusher.Reload(ctx, &body); err != nil && ctx.Err() == nil {
 			return 0, fmt.Errorf("push at row %d: %w", row, err)
 		}
 	}
@@ -212,25 +226,6 @@ func maybeSwap(w io.Writer, m *stream.Maintainer, rc runConfig, row int) (int, e
 		fmt.Fprintf(w, "row %d: swapped %d live rules\n", row, snap.NumRules())
 	}
 	return 1, nil
-}
-
-// pushReload hot-swaps the rule set into a crrserve instance through its
-// body-carrying reload endpoint.
-func pushReload(base string, rules *core.RuleSet) error {
-	var body bytes.Buffer
-	if err := core.WriteRuleSet(&body, rules); err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/reload", "application/json", &body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("reload rejected: %s: %s", resp.Status, msg)
-	}
-	return nil
 }
 
 // schemasMatch requires the feed to carry exactly the artifact's columns:
@@ -249,21 +244,4 @@ func schemasMatch(want, got *dataset.Schema) error {
 		}
 	}
 	return nil
-}
-
-// writeMetrics dumps the snapshot in the Prometheus text exposition, to path
-// ("-" = the run's own output).
-func writeMetrics(w io.Writer, path string, snap telemetry.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(w)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

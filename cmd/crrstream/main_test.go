@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
@@ -131,5 +134,73 @@ func TestRunStreamNaNCell(t *testing.T) {
 		input: feed, rulesPath: rulesPath, window: 1024, rhoM: 60,
 	}); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunStreamPushHonoursCancel: a node that never answers /v1/reload must
+// not hold the replay past the run's context. The reload handler blocks
+// until its request ends; once the context is canceled (what SIGINT and
+// SIGTERM do), run must return promptly and cleanly, with -save written.
+func TestRunStreamPushHonoursCancel(t *testing.T) {
+	dir := t.TempDir()
+	rulesPath, rel := writeTaxArtifact(t, dir, 2000, "State")
+	feed := filepath.Join(dir, "feed.csv")
+	f, err := os.Create(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(f, rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srv.Close()
+	// Deferred after srv.Close, so it runs first: a handler whose client
+	// never hangs up must not keep Close waiting.
+	defer close(release)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	save := filepath.Join(dir, "refreshed.json")
+	done := make(chan error, 1)
+	go func() {
+		var buf bytes.Buffer
+		done <- run(ctx, &buf, runConfig{
+			input: feed, rulesPath: rulesPath, window: 512, swapEvery: 500, rhoM: 60,
+			push: srv.URL, save: save,
+		})
+	}()
+	select {
+	case <-arrived:
+	case err := <-done:
+		t.Fatalf("run returned before any push: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no reload request arrived")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still blocked 5s after cancel: the push ignores the run's context")
+	}
+	if _, err := os.Stat(save); err != nil {
+		t.Fatalf("-save not written: %v", err)
 	}
 }

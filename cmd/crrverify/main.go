@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/crrlab/crr/internal/cliutil"
 	"github.com/crrlab/crr/internal/eval"
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/telemetry"
@@ -177,7 +178,7 @@ func run(ctx context.Context, w io.Writer, rc runConfig) (failed bool, err error
 	}
 
 	if rc.metrics != "" {
-		if err := writeMetrics(w, rc.metrics, reg.Snapshot()); err != nil {
+		if err := cliutil.WriteMetrics(w, rc.metrics, reg.Snapshot()); err != nil {
 			return false, err
 		}
 	}
@@ -201,21 +202,4 @@ func flagPassed(name string) bool {
 		}
 	})
 	return passed
-}
-
-// writeMetrics dumps the snapshot in the Prometheus text exposition, to path
-// ("-" = the run's own output).
-func writeMetrics(w io.Writer, path string, snap telemetry.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(w)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,9 +1,11 @@
 // Power monitor: CRRs as a streaming data-quality monitor on the
 // Electricity stand-in. A derived minute-of-day attribute makes the daily
 // appliance regimes recur into the same condition windows, so rules
-// discovered on a warm-up window keep covering every later day: arriving
-// days are checked for violations (meter faults) and absorbed by incremental
-// maintenance without retraining.
+// discovered on a warm-up window keep covering every later day: each
+// arriving day is checked for violations (meter faults) against the rules
+// as currently maintained, and the rest of the day enters a stream
+// maintainer that refits the rules over a sliding two-day window without
+// re-running discovery.
 //
 //	go run ./examples/powermonitor
 package main
@@ -18,6 +20,7 @@ import (
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
+	"github.com/crrlab/crr/internal/stream"
 )
 
 func main() {
@@ -64,53 +67,68 @@ func main() {
 	fmt.Printf("warm-up: %d rule(s), %d distinct regime model(s), %d share hits\n\n",
 		rules.NumRules(), rules.NumModels(), res.Stats.ShareHits)
 
+	// The maintainer keeps the rules current over the last two days.
+	m, err := stream.New(rules, stream.Config{Window: 2 * 1440, RhoM: dcfg.RhoM})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, t := range warm.Tuples {
+		if err := m.Append(t); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	// Stream the remaining days.
-	stream := dataset.NewRelation(schema)
-	stream.Tuples = append(stream.Tuples, warm.Tuples...)
 	for day := 2; day < 7; day++ {
-		start := stream.Len()
-		injected := 0
+		arrived := dataset.NewRelation(schema)
+		faults := map[int]bool{}
 		for _, t := range week.Tuples {
-			m := t[0].Num
-			if m < float64(day)*1440 || m >= float64(day+1)*1440 {
+			minute := t[0].Num
+			if minute < float64(day)*1440 || minute >= float64(day+1)*1440 {
 				continue
 			}
 			// Inject a stuck-meter fault on day 5, 12:00–12:30.
 			if day == 5 && t[mod].Num >= 720 && t[mod].Num < 750 {
 				t = t.Clone()
 				t[gap] = dataset.Num(9.99)
-				injected++
+				faults[arrived.Len()] = true
 			}
-			stream.Tuples = append(stream.Tuples, t)
+			arrived.Tuples = append(arrived.Tuples, t)
 		}
 
-		// 1) Constraint check: flag the day's violations before ingesting.
-		arrived := &dataset.Relation{Schema: schema, Tuples: stream.Tuples[start:]}
-		violations := core.Violations(arrived, rules)
+		// 1) Constraint check: flag the day's violations of the rules as
+		//    maintained so far, before ingesting.
+		quarantined := map[int]bool{}
+		for _, v := range core.Violations(arrived, m.Snapshot()) {
+			quarantined[v.TupleIndex] = true
+		}
+		flagged := 0
+		for i := range faults {
+			if quarantined[i] {
+				flagged++
+			}
+		}
 
 		// 2) Quarantine the violating tuples — ingesting a meter fault would
-		//    mint a rule that legitimizes it — then maintain on the rest.
-		quarantined := map[int]bool{}
-		for _, v := range violations {
-			quarantined[start+v.TupleIndex] = true
-		}
-		var newIdx []int
-		for i := start; i < stream.Len(); i++ {
-			if !quarantined[i] {
-				newIdx = append(newIdx, i)
+		//    pull the refit towards it — then maintain on the rest.
+		for i, t := range arrived.Tuples {
+			if quarantined[i] {
+				continue
+			}
+			if err := m.Append(t); err != nil {
+				log.Fatal(err)
 			}
 		}
-		updated, st, err := core.Maintain(context.Background(), stream, rules, newIdx, dcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rules = updated
-		fmt.Printf("day %d: %4d tuples  %3d violations (injected faults: %2d)  "+
-			"%4d satisfied / %d widened / %d rediscovered / %d conflicts\n",
-			day, len(newIdx), len(violations), injected,
-			st.Satisfied, st.Widened, st.Rediscovered, st.Conflicts)
+		m.Refit()
+		fmt.Printf("day %d: %4d tuples  %3d violations (injected faults: %2d, flagged: %2d)  "+
+			"%d live rule(s), window coverage %.3f\n",
+			day, arrived.Len()-len(quarantined), len(quarantined), len(faults), flagged,
+			m.Live(), m.Coverage())
 	}
 
-	fmt.Printf("\nfinal: %d rule(s), %d model(s) for a full week — the warm-up regimes "+
-		"served every recurring day\n", rules.NumRules(), rules.NumModels())
+	st := m.Stats()
+	final := m.Snapshot()
+	fmt.Printf("\nfinal: %d rule(s), %d model(s) for a full week after %d refits and %d retires — "+
+		"the warm-up regimes served every recurring day\n",
+		final.NumRules(), final.NumModels(), st.Refits, st.Retires)
 }

@@ -1,15 +1,35 @@
-// Package cliutil holds the small conversions the CLIs share when talking
-// to a remote crrserve through pkg/client: dataset.Relation ⇄ the SDK's
-// public batch/tuple shapes. They live here (not in pkg/client) so the
-// public SDK surface stays free of internal types.
+// Package cliutil holds what the CLIs share: the conversions they use when
+// talking to a remote crrserve through pkg/client (dataset.Relation ⇄ the
+// SDK's public batch/tuple shapes), kept here so the public SDK surface
+// stays free of internal types, and the -metrics writer.
 package cliutil
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/telemetry"
 	"github.com/crrlab/crr/pkg/client"
 )
+
+// WriteMetrics writes snap in the Prometheus text exposition crrserve serves
+// at GET /metrics: to w when path is "-", else to the file at path.
+func WriteMetrics(w io.Writer, path string, snap telemetry.Snapshot) error {
+	if path == "-" {
+		return snap.WriteText(w)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := snap.WriteText(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // ClientBatch columnarizes rel into an SDK batch, nulls preserved.
 func ClientBatch(rel *dataset.Relation) (*client.Batch, error) {

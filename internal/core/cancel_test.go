@@ -195,33 +195,6 @@ func TestCompactCancel(t *testing.T) {
 	}
 }
 
-// TestMaintainCancel: the context reaches the inner re-discovery.
-func TestMaintainCancel(t *testing.T) {
-	rel := piecewiseRelation(600, 0.2, 1)
-	cfg := discoverCfg(rel, 0.5)
-	res, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New tuples in a brand-new regime force a re-discovery pass.
-	grown := rel.Clone()
-	var newIdx []int
-	for i := 0; i < 50; i++ {
-		t0 := grown.Tuples[i]
-		nt := make(dataset.Tuple, len(t0))
-		copy(nt, t0)
-		nt[0].Num += 1000
-		nt[1].Num += 500
-		newIdx = append(newIdx, len(grown.Tuples))
-		grown.Tuples = append(grown.Tuples, nt)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := Maintain(ctx, grown, res.Rules, newIdx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // TestDiscoverTelemetryMatchesStats: the registry's counters must agree with
 // the engine's own statistics.
 func TestDiscoverTelemetryMatchesStats(t *testing.T) {

@@ -83,9 +83,6 @@ type DiscoverConfig struct {
 	// MaxNodes caps queue expansions as a runaway guard; 0 means
 	// 64·|D| + 4096.
 	MaxNodes int
-	// SeedModels pre-populates the shared model set F, so discovery over new
-	// data can reuse models learned earlier (incremental maintenance).
-	SeedModels []regress.Model
 	// Prop8Splits enables Proposition 8's split sizing: instead of only the
 	// single best cut, a node splits on the top ⌈(1−ind(C))·|D_C|⌉ cut pairs
 	// (bounded by the applicable cuts), so that at least one resulting
@@ -206,27 +203,16 @@ func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
 	return cfg.Validate()
 }
 
-// discoverPrep validates cfg against the run's columns and builds the shared
+// discoverPrep checks cfg against the run's columns and builds the shared
 // discovery prelude: effective MinSupport/MaxNodes, the trainable row indices
 // (rows whose X and Y cells are all non-null and finite — null rows are the
 // imputation targets, not the training data, and a NaN or ±Inf cell can be
-// neither fit nor checked) and the mean-of-Y fallback over them.
+// neither fit nor checked) and the mean-of-Y fallback over them. cfg has been
+// through applyDefaults, so only the column-dependent check is left: a
+// numeric target.
 func discoverPrep(cols *dataset.ColumnSet, cfg *DiscoverConfig) (all []int, fallback float64, err error) {
-	if cfg.Trainer == nil {
-		return nil, 0, ErrNoTrainer
-	}
 	if cols.Schema.Attr(cfg.YAttr).Kind != dataset.Numeric {
 		return nil, 0, ErrNonNumericTarget
-	}
-	for _, a := range cfg.XAttrs {
-		if a == cfg.YAttr {
-			return nil, 0, ErrTrivialTarget
-		}
-	}
-	for _, p := range cfg.Preds {
-		if p.Attr == cfg.YAttr {
-			return nil, 0, ErrPredicateOnTarget
-		}
 	}
 	rows := cols.Len()
 	if cfg.MinSupport <= 0 {
@@ -320,7 +306,6 @@ func lattice(ctx context.Context, sub *Substrate, workers int) (*DiscoverResult,
 		tel:     sub.tel,
 		out:     out,
 		visited: map[string]bool{conjKey(root.conj.Normalize()): true},
-		shared:  append([]regress.Model(nil), sub.cfg.SeedModels...), // the model set F (Line 2)
 		ruleOf:  make(map[regress.Model]int),
 		rng:     rand.New(rand.NewSource(sub.cfg.Seed)),
 	}
@@ -358,7 +343,7 @@ type search struct {
 	inflight int   // items popped and not yet finished
 	err      error // the first error; it stops every worker
 	visited  map[string]bool
-	shared   []regress.Model       // F; it only grows, by append
+	shared   []regress.Model       // F: empty at Line 2, then it only grows, by append
 	ruleOf   map[regress.Model]int // FuseShared: the rule of each model
 	rng      *rand.Rand            // RandomOrder priorities
 	cfg      *DiscoverConfig

@@ -6,12 +6,9 @@ import (
 )
 
 // Typed sentinel errors for the discovery engine. Every failure surfaced by
-// Discover, DiscoverTargets, Maintain and CompactCtx wraps one of these, so
-// callers branch with errors.Is instead of string matching.
+// Discover, DiscoverColumns, DiscoverTargets and CompactCtx wraps one of
+// these, so callers branch with errors.Is instead of string matching.
 var (
-	// ErrNoTrainer reports a nil DiscoverConfig.Trainer passed to Maintain
-	// (the options entrypoints default it to OLS instead).
-	ErrNoTrainer = errors.New("core: DiscoverConfig.Trainer is nil")
 	// ErrTrivialTarget reports Y ∈ X, which would only yield trivially
 	// satisfiable rules (Reflexivity, Proposition 1).
 	ErrTrivialTarget = errors.New("core: Y ∈ X would only yield trivial rules (Reflexivity)")
@@ -26,9 +23,9 @@ var (
 	// ErrNoPredicates reports an explicitly empty predicate space on the
 	// options-API Discover (omit WithPredicates to auto-generate ℙ instead).
 	ErrNoPredicates = errors.New("core: empty predicate space")
-	// ErrCanceled reports a discovery, maintenance or compaction run cut
-	// short by context cancellation or deadline. It wraps the context's own
-	// error, so errors.Is(err, context.Canceled) and
+	// ErrCanceled reports a discovery or compaction run cut short by context
+	// cancellation or deadline. It wraps the context's own error, so
+	// errors.Is(err, context.Canceled) and
 	// errors.Is(err, context.DeadlineExceeded) also hold.
 	ErrCanceled = errors.New("core: run canceled")
 )

@@ -80,25 +80,6 @@ func TestDiscoverParallelMidRunTrainerError(t *testing.T) {
 	requireGoroutineBaseline(t, before)
 }
 
-func TestMaintainPropagatesTrainerError(t *testing.T) {
-	rel := piecewiseRelation(300, 0.2, 34)
-	cfg := discoverCfg(rel, 0.5)
-	res, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A brand-new regime forces re-discovery, which now fails. Two tuples
-	// with wildly different residuals are needed: a single tuple would share
-	// trivially with any seed model via δ0 (zero residual spread).
-	rel.MustAppend(lineTuple(500, 9999, "t"))
-	rel.MustAppend(lineTuple(500.5, -9999, "t"))
-	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
-	_, _, err = Maintain(context.Background(), rel, res.Rules, []int{rel.Len() - 2, rel.Len() - 1}, cfg)
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("maintain err = %v, want the injected failure", err)
-	}
-}
-
 func TestPrunePropagatesTrainerError(t *testing.T) {
 	rel := overRefinedRelation(600, 0.3, 35)
 	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.1)))

@@ -114,11 +114,6 @@ func WithMaxNodes(n int) DiscoverOption {
 	return func(c *DiscoverConfig) { c.MaxNodes = n }
 }
 
-// WithSeedModels pre-populates the shared model set F (incremental reuse).
-func WithSeedModels(models []regress.Model) DiscoverOption {
-	return func(c *DiscoverConfig) { c.SeedModels = append([]regress.Model(nil), models...) }
-}
-
 // WithProp8Splits enables Proposition 8's multi-cut split sizing.
 func WithProp8Splits(enabled bool) DiscoverOption {
 	return func(c *DiscoverConfig) { c.Prop8Splits = enabled }

@@ -96,8 +96,8 @@ func (s *Substrate) Schema() *dataset.Schema { return s.cols.Schema }
 func (s *Substrate) NumRows() int { return s.cols.Len() }
 
 // Config returns the effective configuration: defaults resolved, MinSupport
-// and MaxNodes at their documented fallbacks. The slices (XAttrs, Preds,
-// SeedModels) are shared with the run — treat them as read-only.
+// and MaxNodes at their documented fallbacks. The slices (XAttrs, Preds) are
+// shared with the run — treat them as read-only.
 func (s *Substrate) Config() DiscoverConfig { return *s.cfg }
 
 // TrainableRows returns the indices of rows whose X and Y cells are all
@@ -260,12 +260,9 @@ func strategyOf(cfg *DiscoverConfig) Strategy {
 }
 
 // discoverFor is the single entry path of the discovery engine: every public
-// entrypoint (Discover, DiscoverTargets, DiscoverColumns, Maintain) funnels a
-// configuration and the run's ColumnSet through here, so strategy selection
-// and substrate preparation happen in exactly one place. The columns are an
-// argument, never a config field: callers copy one config into runs over
-// other data (Maintain re-mines only its retrain rows), and a config-borne
-// ColumnSet would make those runs read the caller's rows.
+// entrypoint (Discover, DiscoverTargets, DiscoverColumns) runs applyDefaults
+// and then funnels a configuration and the run's ColumnSet through here, so
+// strategy selection and substrate preparation happen in exactly one place.
 func discoverFor(ctx context.Context, cols *dataset.ColumnSet, cfg DiscoverConfig) (*DiscoverResult, error) {
 	strat := strategyOf(&cfg)
 	sub, err := newSubstrate(cols, &cfg)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/crrlab/crr/internal/core"
-	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/impute"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
@@ -113,60 +112,6 @@ func TestParallelMatchesSequentialQuality(t *testing.T) {
 		sr, pr := seq.Rules.RMSE(rel), par.Rules.RMSE(rel)
 		if pr > 2*sr+0.1*spec.RhoM {
 			t.Errorf("%s: parallel RMSE %v vs sequential %v", spec.Name, pr, sr)
-		}
-	}
-}
-
-// TestMaintainOnGrowingBirdMap simulates the streaming scenario: discover on
-// two years of tracking data, then ingest the third year incrementally; the
-// recurring seasonal regimes should be absorbed mostly by sharing or
-// satisfaction, not full re-discovery.
-func TestMaintainOnGrowingBirdMap(t *testing.T) {
-	spec := BirdMapSpec()
-	full := spec.Gen(3000)
-	dateIdx := spec.XAttrs[0]
-	// Train on the first two years; the third arrives as a stream.
-	train := dataset.NewRelation(full.Schema)
-	var newIdx []int
-	for i, tp := range full.Tuples {
-		if tp[dateIdx].Num < 730 {
-			train.Tuples = append(train.Tuples, tp)
-		} else {
-			newIdx = append(newIdx, i)
-		}
-	}
-	preds := predicate.Generate(full, spec.CondAttrs, predicate.GeneratorConfig{})
-	cfg := core.DiscoverConfig{
-		XAttrs: spec.XAttrs, YAttr: spec.YAttr, RhoM: spec.RhoM,
-		Preds: preds, Trainer: regress.LinearTrainer{},
-	}
-	res, err := core.Discover(context.Background(), train, core.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, st, err := core.Maintain(context.Background(), full, res.Rules, newIdx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rediscovered == len(newIdx) {
-		t.Error("every third-year tuple was re-discovered; nothing was absorbed")
-	}
-	// Maintain's contract: either the maintained set holds on the whole
-	// database, or it reports Conflicts — rules violated by new tuples that
-	// interleave with the rules' own satisfied data (here: year-3 ramp
-	// fixes under an old open plateau window) — signalling that a full
-	// re-discovery is needed.
-	if st.Conflicts == 0 && !out.Holds(full) {
-		t.Error("maintained rules violated without reporting a conflict")
-	}
-	if st.Conflicts > 0 {
-		// The escape hatch must work: re-discovery over the full track.
-		res2, err := core.Discover(context.Background(), full, core.WithConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res2.Rules.Holds(full) {
-			t.Error("full re-discovery still violated")
 		}
 	}
 }

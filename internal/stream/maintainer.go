@@ -15,17 +15,19 @@
 //   - Gram.Degenerate plus the Cholesky pivot check guard the carried
 //     statistics against downdate cancellation; on either tripping, the Gram
 //     is rebuilt fresh from the surviving rows (counted as a rebuild).
-//   - stats.ModelEqualityTest (the Chow structural-break test) decides
-//     refit-vs-retire when a rule has absorbed enough churn: the covered
-//     window rows are split into an older and a newer half, and a rejected
-//     equality means the rule's condition no longer selects a single linear
-//     regime — the rule is retired rather than left to chase two models.
-//   - predicate's vectorized filters drive the drift-triggered re-validation:
-//     a retire is irreversible for the maintained set, so before a rule is
-//     dropped its covered selection is re-derived independently — one
-//     columnar sweep per conjunction over the window's (Cols, Sel), not the
-//     routed bookkeeping — and the failed test recomputed on it. Routine
-//     refits never pay that sweep; they reuse the exact routed pairs.
+//   - The bias bound ρM of Definition 1 is the one reason to retire a rule.
+//     A refit whose max residual over the rule's routed rows stays within
+//     ρM is accepted. One that exceeds it raises an alarm (a drift event),
+//     and predicate's vectorized filters check the alarm: a retire is
+//     irreversible for the maintained set, so the rule's covered selection
+//     is re-derived independently — one columnar sweep per conjunction over
+//     the window's (Cols, Sel), not the routed bookkeeping — and refit from
+//     fresh statistics. Only a fresh fit that also exceeds ρM retires the
+//     rule. Routine refits never pay that sweep; they reuse the exact routed
+//     pairs.
+//
+// Nothing here mines new rules: the rows of a retired rule fall back to the
+// window's target mean.
 //
 // Refreshed rule sets leave through Snapshot(), a freshly indexed RuleSet
 // suitable for atomic hot-swap into a serving process (serve.Install /
@@ -46,55 +48,51 @@ import (
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/regress"
-	"github.com/crrlab/crr/internal/stats"
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
-// Config parameterizes a Maintainer. Window and RhoM are required; the zero
-// value of every other field is replaced by the default documented on it.
+// Config parameterizes a Maintainer. Window and RhoM are required; Registry
+// and Logf are optional.
 type Config struct {
 	// Window is the sliding-window capacity in rows. Required.
 	Window int
 
-	// RhoM is the maximum tolerable bias ρM of Definition 1: a refit whose
-	// empirical max residual over the covered window rows exceeds it retires
-	// the rule. Required (use the bound discovery ran with).
+	// RhoM is the maximum tolerable bias ρM of Definition 1: a rule retires
+	// when a refit's max residual over its covered window rows exceeds it and
+	// the re-derived selection confirms that. Required (use the bound
+	// discovery ran with).
 	RhoM float64
 
-	// Alpha is the significance level of the Chow structural-break test.
-	// Default 0.001 — deliberately conservative, so a stationary stream's
-	// refit churn does not retire healthy rules by chance.
+	// Alpha is ignored.
+	//
+	// Deprecated: no significance test decides a rule's fate; only RhoM
+	// does. The field remains so that callers which set it still compile.
 	Alpha float64
-
-	// DirtyFrac is the refit trigger: a rule is re-examined once its
-	// adds+expirations since the last examination exceed this fraction of its
-	// covered rows. Default 0.25.
-	DirtyFrac float64
-
-	// MinRefit is the minimum number of fit-usable covered rows before a rule
-	// is re-examined at all; below it the rule keeps its current model.
-	// Default max(16, 4·(dim+1)), which also keeps the Chow test's n > 2p
-	// precondition satisfiable.
-	MinRefit int
-
-	// Trainer fits the models. The zero value is OLS (the F1 family).
-	Trainer regress.LinearTrainer
 
 	// Registry receives the stream.* telemetry counters. Optional.
 	Registry *telemetry.Registry
 
-	// Logf, when set, receives one line per lifecycle event (refit, drift,
-	// retire, rebuild). Default: silent.
+	// Logf, when set, receives one line per lifecycle event (refit, retire,
+	// rebuild). Default: silent.
 	Logf func(format string, args ...any)
 }
+
+// dirtyFrac is the refit trigger: a rule is re-examined once its
+// adds+expirations since the last examination reach this fraction of its
+// covered rows.
+const dirtyFrac = 0.25
+
+// ols fits every model: ordinary least squares, the F1 family discovery
+// defaults to.
+var ols regress.LinearTrainer
 
 // Stats is a point-in-time snapshot of the maintenance counters (also
 // exported through the telemetry registry under the stream.* names).
 type Stats struct {
 	RowsIngested uint64 // rows accepted into the window
 	Refits       uint64 // incremental model re-fits from carried statistics
-	DriftEvents  uint64 // Chow-test rejections
-	Retires      uint64 // rules retired (drift, or bias bound broken)
+	DriftEvents  uint64 // refits whose ρ exceeded ρM, sent to revalidation
+	Retires      uint64 // drift events the re-derived selection confirmed
 	Rebuilds     uint64 // carried Grams rebuilt after numerical degeneracy
 	Swaps        uint64 // snapshots handed out
 }
@@ -140,7 +138,6 @@ type ruleState struct {
 	covered int  // fit-usable rows currently in the window
 	dirty   int  // adds+expirations since the last examination
 	retired bool // excluded from snapshots; keeps routing slot
-	changed bool // model/ρ differs from the last snapshot
 }
 
 // Maintainer keeps one RuleSet maintained against a sliding window of
@@ -148,7 +145,11 @@ type ruleState struct {
 type Maintainer struct {
 	cfg   Config
 	rules *core.RuleSet // working copy: conditions fixed, models refit in place
-	win   *dataset.SlidingWindow
+	// minRefit is the fewest fit-usable covered rows a rule needs to be
+	// re-examined at all, max(16, 4·(dim+1)); below it the rule keeps its
+	// current model.
+	minRefit int
+	win      *dataset.SlidingWindow
 	// rowRules is a queue aligned with window positions: rowRules[i] lists
 	// the rules that absorbed live row i, each holding that row's pair in its
 	// cover queue.
@@ -183,24 +184,6 @@ func New(rules *core.RuleSet, cfg Config) (*Maintainer, error) {
 	if !(cfg.RhoM > 0) {
 		return nil, fmt.Errorf("stream: Config.RhoM %v must be positive (use discovery's bias bound)", cfg.RhoM)
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.001
-	}
-	if !(cfg.Alpha > 0 && cfg.Alpha < 1) {
-		return nil, fmt.Errorf("stream: Config.Alpha %v must be in (0,1)", cfg.Alpha)
-	}
-	if cfg.DirtyFrac == 0 {
-		cfg.DirtyFrac = 0.25
-	}
-	if !(cfg.DirtyFrac > 0) {
-		return nil, fmt.Errorf("stream: Config.DirtyFrac %v must be positive", cfg.DirtyFrac)
-	}
-	if cfg.MinRefit == 0 {
-		cfg.MinRefit = 4 * (len(rules.XAttrs) + 1)
-		if cfg.MinRefit < 16 {
-			cfg.MinRefit = 16
-		}
-	}
 	win, err := dataset.NewSlidingWindow(rules.Schema, cfg.Window)
 	if err != nil {
 		return nil, err
@@ -213,11 +196,12 @@ func New(rules *core.RuleSet, cfg Config) (*Maintainer, error) {
 		Fallback: rules.Fallback,
 	}
 	m := &Maintainer{
-		cfg:    cfg,
-		rules:  working,
-		win:    win,
-		queues: make([]ruleQueue, len(working.Rules)),
-		state:  make([]ruleState, len(working.Rules)),
+		cfg:      cfg,
+		rules:    working,
+		minRefit: max(16, 4*(len(working.XAttrs)+1)),
+		win:      win,
+		queues:   make([]ruleQueue, len(working.Rules)),
+		state:    make([]ruleState, len(working.Rules)),
 
 		ctrRows:     cfg.Registry.Counter(telemetry.MetricStreamRowsIngested),
 		ctrRefits:   cfg.Registry.Counter(telemetry.MetricStreamRefits),
@@ -316,10 +300,10 @@ func (m *Maintainer) Append(t dataset.Tuple) error {
 
 	for ri := range m.state {
 		st := &m.state[ri]
-		if st.retired || st.covered < m.cfg.MinRefit {
+		if st.retired || st.covered < m.minRefit {
 			continue
 		}
-		if float64(st.dirty) >= m.cfg.DirtyFrac*float64(st.covered) {
+		if float64(st.dirty) >= dirtyFrac*float64(st.covered) {
 			m.examine(ri)
 		}
 	}
@@ -334,7 +318,7 @@ func (m *Maintainer) Append(t dataset.Tuple) error {
 // carried-statistics fit over its current covered selection.)
 func (m *Maintainer) Refit() {
 	for ri := range m.state {
-		if st := &m.state[ri]; !st.retired && st.covered >= m.cfg.MinRefit {
+		if st := &m.state[ri]; !st.retired && st.covered >= m.minRefit {
 			m.examine(ri)
 		}
 	}
@@ -346,15 +330,9 @@ func (m *Maintainer) Refit() {
 //  1. degenerate or unsolvable statistics → rebuild fresh from the window
 //     (a rebuild), then retry the solve; still unsolvable → keep the old
 //     model untouched (too little data to say anything);
-//  2. Chow test over the older/newer halves of the covered rows rejects, or
-//     the refit's empirical ρ (max residual over the covered selection)
-//     exceeds ρM → the rule is suspect, and the decision moves to
-//     revalidate: the selection is re-derived through the vectorized
-//     predicate filters (independent of the routed bookkeeping that raised
-//     the alarm) and the tests recomputed on it — confirmed structural break
-//     retires the rule as a drift event, confirmed bias violation retires it
-//     as a ρ breach, and a selection that no longer supports either verdict
-//     keeps the rule alive;
+//  2. the refit's empirical ρ (max residual over the covered selection)
+//     exceeds ρM → a drift event: the rule is suspect, and the decision
+//     moves to revalidate;
 //  3. otherwise the refit is accepted: the rule's model and ρ move to the
 //     new fit.
 func (m *Maintainer) examine(ri int) {
@@ -363,27 +341,29 @@ func (m *Maintainer) examine(ri int) {
 
 	xs, ys := m.coveredRows(ri)
 	n := len(ys)
-	if n < m.cfg.MinRefit {
+	if n < m.minRefit {
 		return
 	}
 	if st.gram.Degenerate() {
 		m.rebuild(ri, xs, ys)
 	}
-	model, err := m.cfg.Trainer.TrainGram(st.gram)
+	model, err := ols.TrainGram(st.gram)
 	if err != nil {
 		// The carried statistics cannot serve the fit — most often downdate
 		// cancellation that slipped past the cheap Degenerate check and broke
 		// Cholesky. Rebuild once from the surviving rows and retry.
 		m.rebuild(ri, xs, ys)
-		if model, err = m.cfg.Trainer.TrainGram(st.gram); err != nil {
+		if model, err = ols.TrainGram(st.gram); err != nil {
 			return
 		}
 	}
 	m.stats.Refits++
 	m.ctrRefits.Inc()
 
-	rho, sseJoint := residualStats(model, xs, ys)
-	if rho > m.cfg.RhoM || m.chowRejects(sseJoint, xs, ys) {
+	rho := maxResidual(model, xs, ys)
+	if rho > m.cfg.RhoM {
+		m.stats.DriftEvents++
+		m.ctrDrift.Inc()
 		m.revalidate(ri)
 		return
 	}
@@ -396,60 +376,50 @@ func (m *Maintainer) accept(ri int, model regress.Model, rho float64, n int) {
 	if !model.Equal(rule.Model, 0) || rho != rule.Rho {
 		rule.Model = model
 		rule.Rho = rho
-		m.state[ri].changed = true
 		m.changed = true
 	}
 	m.logf("stream: refit rule %d over %d rows, ρ=%.4g", ri, n, rho)
 }
 
 // revalidate is the drift-triggered slow path: the routed statistics flagged
-// rule ri as broken, so its covered selection is re-derived through the
-// vectorized predicate filters — an independent columnar sweep per
-// conjunction, sharing nothing with the Covering bookkeeping — and the
+// rule ri's refit as beyond ρM, so its covered selection is re-derived
+// through the vectorized predicate filters — an independent columnar sweep
+// per conjunction, sharing nothing with the Covering bookkeeping — and the
 // verdict recomputed from a freshly accumulated fit over that selection.
-// Only a confirmed failure retires the rule.
+// Only a confirmed breach retires the rule.
 func (m *Maintainer) revalidate(ri int) {
 	xs, ys := m.coveredRowsFiltered(ri)
 	n := len(ys)
-	if n < m.cfg.MinRefit {
+	if n < m.minRefit {
 		return // the independent selection is below the refit floor: keep the rule
 	}
 	g := regress.NewGram(len(m.rules.XAttrs))
 	for i, x := range xs {
 		g.Add(x, ys[i])
 	}
-	model, err := m.cfg.Trainer.TrainGram(g)
+	model, err := ols.TrainGram(g)
 	if err != nil {
 		return // cannot test ⇒ keep the rule
 	}
-	rho, sseJoint := residualStats(model, xs, ys)
-	if m.chowRejects(sseJoint, xs, ys) {
-		m.stats.DriftEvents++
-		m.ctrDrift.Inc()
-		m.retire(ri, "structural break")
-		return
-	}
+	rho := maxResidual(model, xs, ys)
 	if rho > m.cfg.RhoM {
 		m.retire(ri, fmt.Sprintf("refit ρ %.4g exceeds ρM %.4g", rho, m.cfg.RhoM))
 		return
 	}
-	// The independently selected rows support neither verdict — the alarm was
-	// a sampling artifact of the routed order. Keep the rule on the re-derived
-	// fit.
+	// The independently selected rows hold within ρM — the alarm was an
+	// artifact of the routed bookkeeping. Keep the rule on the re-derived fit.
 	m.accept(ri, model, rho, n)
 }
 
-// residualStats returns the max |residual| (the empirical ρ) and the SSE of
-// model over the pairs, in one pass.
-func residualStats(model regress.Model, xs [][]float64, ys []float64) (rho, sse float64) {
+// maxResidual returns the max |residual| of model over the pairs: the
+// empirical ρ.
+func maxResidual(model regress.Model, xs [][]float64, ys []float64) (rho float64) {
 	for i, x := range xs {
-		d := ys[i] - model.Predict(x)
-		if a := math.Abs(d); a > rho {
+		if a := math.Abs(ys[i] - model.Predict(x)); a > rho {
 			rho = a
 		}
-		sse += d * d
 	}
-	return rho, sse
+	return rho
 }
 
 // rebuild re-accumulates rule ri's Gram fresh from its covered window rows
@@ -468,61 +438,15 @@ func (m *Maintainer) rebuild(ri int, xs [][]float64, ys []float64) {
 	m.logf("stream: rebuilt statistics of rule %d from %d rows", ri, len(ys))
 }
 
-// retire drops rule ri from future snapshots and releases its carried state.
-// The routing slot stays (rule indices are stable for row-cover bookkeeping);
-// pending covers of the retired rule downdate a discarded Gram harmlessly.
+// retire drops rule ri from future snapshots. The routing slot stays (rule
+// indices are stable for row-cover bookkeeping); pending covers of the
+// retired rule downdate its unused Gram harmlessly.
 func (m *Maintainer) retire(ri int, why string) {
-	st := &m.state[ri]
-	st.retired = true
-	st.changed = true
+	m.state[ri].retired = true
 	m.changed = true
 	m.stats.Retires++
 	m.ctrRetires.Inc()
 	m.logf("stream: retired rule %d (%s)", ri, why)
-}
-
-// chowRejects runs the structural-break test on rule rows already collected
-// in window order: older half against newer half, p = dim+1 parameters per
-// model, sseJoint the joint fit's SSE over all rows. Degenerate regimes (too
-// few rows, unsolvable halves, zero residual) report no break — "cannot
-// test" must keep the rule, not kill it.
-func (m *Maintainer) chowRejects(sseJoint float64, xs [][]float64, ys []float64) bool {
-	n := len(ys)
-	p := len(m.rules.XAttrs) + 1
-	if n <= 2*p {
-		return false
-	}
-	half := n / 2
-	fit := func(lo, hi int) (regress.Model, float64, bool) {
-		g := regress.NewGram(len(m.rules.XAttrs))
-		for i := lo; i < hi; i++ {
-			g.Add(xs[i], ys[i])
-		}
-		mdl, err := m.cfg.Trainer.TrainGram(g)
-		if err != nil {
-			return nil, 0, false
-		}
-		return mdl, sse(mdl, xs[lo:hi], ys[lo:hi]), true
-	}
-	_, sseOld, ok := fit(0, half)
-	if !ok {
-		return false
-	}
-	_, sseNew, ok := fit(half, n)
-	if !ok {
-		return false
-	}
-	reject, _, err := stats.ModelEqualityTest(sseJoint, sseOld+sseNew, p, n, m.cfg.Alpha)
-	return err == nil && reject
-}
-
-func sse(f regress.Model, xs [][]float64, ys []float64) float64 {
-	var s float64
-	for i, x := range xs {
-		d := ys[i] - f.Predict(x)
-		s += d * d
-	}
-	return s
 }
 
 // coveredRows returns rule ri's fit-usable covered window rows — the exact
@@ -635,9 +559,6 @@ func (m *Maintainer) Snapshot() *core.RuleSet {
 		}
 	}
 	m.changed = false
-	for i := range m.state {
-		m.state[i].changed = false
-	}
 	m.stats.Swaps++
 	m.ctrSwaps.Inc()
 	return out

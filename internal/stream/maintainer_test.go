@@ -43,7 +43,7 @@ func taxRules(t testing.TB, rows int, seed int64) (*dataset.Relation, *core.Rule
 func TestMaintainerStationaryStream(t *testing.T) {
 	rel, rules := taxRules(t, 6000, 4)
 	reg := telemetry.New()
-	m, err := New(rules, Config{Window: 512, RhoM: 60, Alpha: 1e-6, Registry: reg})
+	m, err := New(rules, Config{Window: 512, RhoM: 60, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func assertCarriedMatchesFresh(t *testing.T, m *Maintainer) {
 				scale = a
 			}
 		}
-		carriedFit, err1 := m.cfg.Trainer.TrainGram(m.state[ri].gram)
-		freshFit, err2 := m.cfg.Trainer.TrainGram(fresh)
+		carriedFit, err1 := ols.TrainGram(m.state[ri].gram)
+		freshFit, err2 := ols.TrainGram(fresh)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("rule %d: fits failed: %v / %v", ri, err1, err2)
 		}
@@ -157,9 +157,72 @@ func assertCarriedMatchesFresh(t *testing.T, m *Maintainer) {
 	}
 }
 
-// TestMaintainerDriftRetires: when the stream's generating process changes,
-// the Chow test (or the broken bias bound) retires the affected rules and
-// snapshots stop serving them.
+// TestMaintainerKeepsStationaryTaxRules: rules that hold stay live. The
+// artifact is Tax ~ Salary under State and MaritalStatus at ρM 1, compacted
+// to 4 rules; fresh rows from the same generator stream through an
+// 8,192-row window in 2,500-row chunks, with a Refit after each chunk, at
+// the default configuration. Every refit keeps its ρ within ρM, so no rule
+// may retire and the window must stay fully covered.
+func TestMaintainerKeepsStationaryTaxRules(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100,000-row stream per seed skipped in -short mode")
+	}
+	const (
+		window = 8192
+		chunk  = 2500
+		fresh  = 100000
+	)
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := dataset.DefaultTaxConfig()
+		cfg.Rows, cfg.Seed = 16384, seed
+		rel := dataset.GenerateTax(cfg)
+		res, err := core.Discover(context.Background(), rel, core.WithConfig(core.DiscoverConfig{
+			XAttrs: []int{rel.Schema.MustIndex("Salary")},
+			YAttr:  rel.Schema.MustIndex("Tax"),
+			RhoM:   1,
+			Preds: predicate.Generate(rel, []int{rel.Schema.MustIndex("State"), rel.Schema.MustIndex("MaritalStatus")},
+				predicate.GeneratorConfig{}),
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules, _ := core.Compact(res.Rules)
+		if rules.NumRules() != 4 {
+			t.Fatalf("seed %d: compacted artifact has %d rules, want 4", seed, rules.NumRules())
+		}
+		m, err := New(rules, Config{Window: window, RhoM: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range rel.Tuples[:window] {
+			if err := m.Append(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := int64(0); k < fresh/chunk; k++ {
+			ccfg := dataset.DefaultTaxConfig()
+			ccfg.Rows, ccfg.Seed = chunk, 1<<40+seed<<20+k
+			for _, tp := range dataset.GenerateTax(ccfg).Tuples {
+				if err := m.Append(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Refit()
+		}
+		st := m.Stats()
+		if st.Retires != 0 || m.Live() != 4 {
+			t.Errorf("seed %d: %d retires, %d of 4 rules live, window coverage %.3f (%+v)",
+				seed, st.Retires, m.Live(), m.Coverage(), st)
+		} else if cov := m.Coverage(); cov != 1 {
+			t.Errorf("seed %d: window coverage %v, want 1", seed, cov)
+		}
+	}
+}
+
+// TestMaintainerDriftRetires: when the stream's generating process changes
+// beyond ρM, refits break the bias bound, the independently re-derived
+// selection confirms it, and the affected rules retire; snapshots stop
+// serving them.
 func TestMaintainerDriftRetires(t *testing.T) {
 	rel, rules := taxRules(t, 6000, 4)
 	m, err := New(rules, Config{Window: 512, RhoM: 60})
@@ -254,7 +317,7 @@ func TestMaintainerSingularStatisticsRecover(t *testing.T) {
 			YAttr:  1,
 		}},
 	}
-	m, err := New(rules, Config{Window: 64, RhoM: 10, MinRefit: 8})
+	m, err := New(rules, Config{Window: 64, RhoM: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +348,6 @@ func TestMaintainerConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Window: 0, RhoM: 1},
 		{Window: 10, RhoM: 0},
-		{Window: 10, RhoM: 1, Alpha: 2},
-		{Window: 10, RhoM: 1, DirtyFrac: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(rules, cfg); err == nil {

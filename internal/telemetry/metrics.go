@@ -64,16 +64,17 @@ const (
 	// Stream-maintenance metrics (internal/stream): the windowed ingestion
 	// and incremental re-fit layer. rows_ingested counts appends accepted
 	// into the sliding window; refits counts per-rule model re-fits from the
-	// carried sufficient statistics; drift_events counts Chow-test rejections
-	// (the window no longer plausibly follows the rule's single model);
-	// retires counts rules dropped because the refit could not restore the
-	// bias bound; rebuilds counts carried Grams rebuilt from scratch after
-	// losing numerical health (the downdate-cancellation fallback); swaps
-	// counts refreshed rule sets handed to the hot-reload hook.
+	// carried sufficient statistics; drift_events counts refits whose max
+	// residual exceeded ρM, each sent to re-validation on an independently
+	// re-derived selection; retires counts the drift events that
+	// re-validation confirmed, dropping the rule; rebuilds counts carried
+	// Grams rebuilt from scratch after losing numerical health (the
+	// downdate-cancellation fallback); swaps counts refreshed rule sets
+	// handed to the hot-reload hook.
 	MetricStreamRowsIngested = "stream.rows_ingested" // counter: rows appended to the window
 	MetricStreamRefits       = "stream.refits"        // counter: incremental per-rule model re-fits
-	MetricStreamDriftEvents  = "stream.drift_events"  // counter: Chow-test drift rejections
-	MetricStreamRetires      = "stream.retires"       // counter: rules retired on unrecoverable drift
+	MetricStreamDriftEvents  = "stream.drift_events"  // counter: refits beyond ρM sent to re-validation
+	MetricStreamRetires      = "stream.retires"       // counter: rules retired, ρM breach confirmed
 	MetricStreamRebuilds     = "stream.rebuilds"      // counter: Gram statistics rebuilt after degeneracy
 	MetricStreamSwaps        = "stream.swaps"         // counter: refreshed rule sets swapped out
 

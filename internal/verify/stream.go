@@ -11,14 +11,14 @@ import (
 )
 
 // streamOracle verifies windowed stream maintenance differentially: the
-// target's rows are replayed through a stream.Maintainer (rank-1 Gram
-// updates/downdates, drift checks, incremental re-validation), the maintained
-// set is flushed and snapshotted, and every published rule is compared
-// against an independent from-scratch reconstruction over the final window —
-// rows selected by a tuple-at-a-time first-match scan (not the maintainer's
-// columnar filters), statistics accumulated fresh (not carried through
-// thousands of update/downdate cycles), fit by the same solver. The oracle
-// asserts:
+// target's rows are replayed through a stream.Maintainer at its default
+// configuration (rank-1 Gram updates/downdates, the ρM check, incremental
+// re-validation), the maintained set is flushed and snapshotted, and every
+// published rule is compared against an independent from-scratch
+// reconstruction over the final window — rows selected by a tuple-at-a-time
+// first-match scan (not the maintainer's columnar filters), statistics
+// accumulated fresh (not carried through thousands of update/downdate
+// cycles), fit by the same solver. The oracle asserts:
 //
 //   - routing parity: the maintainer's published ρ equals the max residual
 //     over the independently selected covered rows (the Covering-index path,
@@ -40,16 +40,10 @@ func (rn *runner) streamOracle(t Target, rules *core.RuleSet) error {
 	if window > 1024 {
 		window = 1024
 	}
-	minRefit := 4 * (len(rules.XAttrs) + 1)
-	if minRefit < 16 {
-		minRefit = 16
-	}
-	m, err := stream.New(rules, stream.Config{
-		Window:   window,
-		RhoM:     t.RhoM,
-		Alpha:    1e-6, // stationary replay: drift rejections would be noise
-		MinRefit: minRefit,
-	})
+	// The maintainer's refit floor: rules covering fewer window rows keep
+	// their discovered model.
+	minRefit := max(16, 4*(len(rules.XAttrs)+1))
+	m, err := stream.New(rules, stream.Config{Window: window, RhoM: t.RhoM})
 	if err != nil {
 		return err
 	}
