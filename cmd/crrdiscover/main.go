@@ -13,8 +13,9 @@
 // With -store, -input names an out-of-core column store directory (built by
 // crrgen -store or colstore.BuildCSVFile) instead of a CSV: the store is
 // memory-mapped and mined in place, so datasets far past RAM discover
-// without ever materializing tuples. Tuple-only post-passes (-prune, the
-// coverage/RMSE evaluation) are unavailable there.
+// without ever materializing tuples. Both inputs run on one ColumnSet, so
+// every pass, -prune included, is the same on either; only the tuple-level
+// coverage/RMSE line is unavailable with -store.
 //
 // -strategy selects the induction strategy behind Algorithm 1's seam:
 // "lattice" (the paper's walk, default) or "growprune" (per-seed
@@ -61,7 +62,7 @@ func main() {
 		family   = flag.String("family", "F1", "model family: F1 (linear), F2 (ridge), F3 (mlp)")
 		compact  = flag.Bool("compact", false, "run Algorithm 2 compaction after discovery")
 		tol      = flag.Float64("compact-tol", 0, "model tolerance for compaction (0 = exact)")
-		prune    = flag.Bool("prune", false, "merge statistically indistinguishable adjacent windows before compaction")
+		prune    = flag.Bool("prune", false, "merge adjacent windows whose joint refit stays within ρM before compaction")
 		workers  = flag.Int("workers", 1, "discovery worker count (0 = 1, <0 = one per CPU); only 1 is deterministic")
 		strategy = flag.String("strategy", "lattice", "induction strategy: lattice or growprune")
 		seed     = flag.Int64("seed", 0, "random seed (predicate generation, random queue order)")
@@ -131,23 +132,19 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 	}
 	reg := telemetry.New()
 
-	if rc.store && rc.prune {
-		return fmt.Errorf("-prune re-fits over tuples and is unavailable with -store")
-	}
-
 	stopLoad := reg.Time(telemetry.PhaseLoad)
-	// Load either path into (schema, rel | cols): a parsed CSV relation, or
-	// the adopted ColumnSet of an mmap'd store with no tuples anywhere.
+	// Load either path into one ColumnSet: the adopted view of an mmap'd
+	// store with no tuples anywhere, or one built from a parsed CSV, whose
+	// relation is kept only for the coverage/RMSE line.
 	var rel *dataset.Relation
 	var cols *dataset.ColumnSet
-	var schema *dataset.Schema
 	if rc.store {
 		st, err := colstore.OpenWith(input, colstore.OpenOptions{Telemetry: reg})
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-		cols, schema = st.Columns(), st.Schema()
+		cols = st.Columns()
 	} else {
 		f, err := os.Open(input)
 		if err != nil {
@@ -158,8 +155,11 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 		if err != nil {
 			return err
 		}
-		schema = rel.Schema
+		start := time.Now()
+		cols = dataset.NewColumnSet(rel)
+		reg.Counter(telemetry.MetricColumnsBuild).Add(time.Since(start).Nanoseconds())
 	}
+	schema := cols.Schema
 
 	yattr, err := schema.Index(yName)
 	if err != nil {
@@ -212,13 +212,7 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 	stopLoad()
 
 	stopPreds := reg.Time(telemetry.PhasePredicates)
-	gcfg := predicate.GeneratorConfig{Size: predSize, Seed: rc.seed}
-	var preds []predicate.Predicate
-	if rc.store {
-		preds = predicate.GenerateColumns(cols, cond, gcfg)
-	} else {
-		preds = predicate.Generate(rel, cond, gcfg)
-	}
+	preds := predicate.GenerateColumns(cols, cond, predicate.GeneratorConfig{Size: predSize, Seed: rc.seed})
 	stopPreds()
 
 	var strat core.Strategy
@@ -240,19 +234,16 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 		Strategy:  strat,
 		Telemetry: reg,
 	}
-	var res *core.DiscoverResult
-	if rc.store {
-		res, err = core.DiscoverColumns(ctx, cols, core.WithConfig(dcfg))
-	} else {
-		res, err = core.Discover(ctx, rel, core.WithConfig(dcfg))
-	}
+	res, err := core.DiscoverColumns(ctx, cols, core.WithConfig(dcfg))
 	stopDiscover()
 	if err != nil {
 		return err
 	}
 	rules := res.Rules
+	fmt.Fprintf(w, "discovered %d rules (%d models trained, %d shared, %d nodes)\n",
+		rules.NumRules(), res.Stats.ModelsTrained, res.Stats.ShareHits, res.Stats.NodesExpanded)
 	if rc.prune {
-		pruned, pst, err := core.Prune(rel, rules, core.PruneOptions{Trainer: trainer})
+		pruned, pst, err := core.Prune(cols, rules, core.PruneOptions{RhoM: rhoM, Trainer: trainer})
 		if err != nil {
 			return err
 		}
@@ -260,8 +251,6 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 			pruned.NumRules(), pst.Merged, pst.Tested)
 		rules = pruned
 	}
-	fmt.Fprintf(w, "discovered %d rules (%d models trained, %d shared, %d nodes)\n",
-		rules.NumRules(), res.Stats.ModelsTrained, res.Stats.ShareHits, res.Stats.NodesExpanded)
 	stopCompact := reg.Time(telemetry.PhaseCompact)
 	if compact {
 		compacted, stats, err := core.CompactCtx(ctx, rules, core.CompactOptions{ModelTol: tol, Telemetry: reg})

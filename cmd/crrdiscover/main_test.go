@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +21,13 @@ func writeTaxCSV(t *testing.T, rows int) string {
 	t.Helper()
 	cfg := dataset.DefaultTaxConfig()
 	cfg.Rows = rows
-	rel := dataset.GenerateTax(cfg)
-	path := filepath.Join(t.TempDir(), "tax.csv")
+	return writeCSV(t, t.TempDir(), "tax.csv", dataset.GenerateTax(cfg))
+}
+
+// writeCSV writes rel as dir/name and returns the path.
+func writeCSV(t *testing.T, dir, name string, rel *dataset.Relation) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +37,36 @@ func writeTaxCSV(t *testing.T, rows int) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// airQuality is the 600-row AirQuality relation that CO ~ Time | Time at
+// ρ_M 0.25 over-refines into windows -prune merges.
+func airQuality() *dataset.Relation {
+	cfg := dataset.DefaultAirQualityConfig()
+	cfg.Rows = 600
+	return dataset.GenerateAirQuality(cfg)
+}
+
+// pruneRun is the -prune configuration over airQuality.
+var pruneRun = runConfig{
+	yName: "CO", xNames: "Time", condCols: "Time",
+	rhoM: 0.25, family: "F1", prune: true, workers: 1,
+}
+
+// countAfter parses the rule count that follows prefix on its output line.
+func countAfter(t *testing.T, out, prefix string) int {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(strings.Fields(rest)[0])
+			if err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %q line in output:\n%s", prefix, out)
+	return 0
 }
 
 func TestRunDiscoverEndToEnd(t *testing.T) {
@@ -99,6 +136,29 @@ func TestRunDiscoverPrune(t *testing.T) {
 	}
 }
 
+// TestRunPruneReportsDiscoveredCount: the "discovered" line reports what
+// discovery emitted, before -prune merges any window.
+func TestRunPruneReportsDiscoveredCount(t *testing.T) {
+	input := writeCSV(t, t.TempDir(), "aq.csv", airQuality())
+	var plain, pruned bytes.Buffer
+	rc := pruneRun
+	rc.input, rc.prune = input, false
+	if err := runTo(context.Background(), &plain, rc); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rc.prune = true
+	if err := runTo(context.Background(), &pruned, rc); err != nil {
+		t.Fatalf("run -prune: %v", err)
+	}
+	discovered := countAfter(t, plain.String(), "discovered ")
+	if got := countAfter(t, pruned.String(), "discovered "); got != discovered {
+		t.Errorf("-prune run reports %d discovered rules, discovery emitted %d", got, discovered)
+	}
+	if got := countAfter(t, pruned.String(), "pruned to "); got >= discovered {
+		t.Errorf("pruned to %d of %d rules: the fixture should merge", got, discovered)
+	}
+}
+
 func TestRunDiscoverValidation(t *testing.T) {
 	input := writeTaxCSV(t, 100)
 	cases := []runConfig{
@@ -153,22 +213,14 @@ func TestRunCorruptCSVDiagnostic(t *testing.T) {
 }
 
 // TestRunStoreMode: -store discovery over an on-disk column store must emit
-// exactly the rules the CSV path emits on the same data, and the
-// tuple-requiring -prune must be rejected up front.
+// exactly the rules the CSV path emits on the same data, and -store -prune
+// must save the same artifact bytes as the CSV -prune run.
 func TestRunStoreMode(t *testing.T) {
 	cfg := dataset.DefaultTaxConfig()
 	cfg.Rows = 600
 	rel := dataset.GenerateTax(cfg)
 	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "tax.csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.WriteCSV(f, rel); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	csvPath := writeCSV(t, dir, "tax.csv", rel)
 	storeDir := filepath.Join(dir, "tax.crrcol")
 	if err := colstore.Build(storeDir, rel, 97); err != nil {
 		t.Fatal(err)
@@ -209,10 +261,34 @@ func TestRunStoreMode(t *testing.T) {
 		}
 	}
 
-	pruneRC := storeRC
-	pruneRC.prune = true
-	if err := run(context.Background(), pruneRC); err == nil || !strings.Contains(err.Error(), "-prune") {
-		t.Fatalf("-store -prune: err = %v, want a -prune rejection", err)
+	aq := airQuality()
+	aqStore := filepath.Join(dir, "aq.crrcol")
+	if err := colstore.Build(aqStore, aq, 97); err != nil {
+		t.Fatal(err)
+	}
+	var saved [2][]byte
+	for i, in := range []struct {
+		input string
+		store bool
+	}{{writeCSV(t, dir, "aq.csv", aq), false}, {aqStore, true}} {
+		rc := pruneRun
+		rc.input, rc.store = in.input, in.store
+		rc.save = filepath.Join(dir, fmt.Sprintf("pruned%d.json", i))
+		var out bytes.Buffer
+		if err := runTo(context.Background(), &out, rc); err != nil {
+			t.Fatalf("-store=%v -prune: %v", in.store, err)
+		}
+		if countAfter(t, out.String(), "pruned to ") >= countAfter(t, out.String(), "discovered ") {
+			t.Fatalf("-store=%v -prune merged nothing:\n%s", in.store, out.String())
+		}
+		b, err := os.ReadFile(rc.save)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = b
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatalf("-prune artifacts differ: CSV %d bytes, store %d bytes", len(saved[0]), len(saved[1]))
 	}
 }
 

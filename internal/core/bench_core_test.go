@@ -160,14 +160,15 @@ func BenchmarkPredictLinearScan(b *testing.B) {
 }
 
 func BenchmarkPrune(b *testing.B) {
-	rel := overRefinedRelation(2000, 0.3, 1)
-	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.1)))
+	rel := piecewiseRelation(2000, 0.2, 1)
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.25)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	cols := dataset.NewColumnSet(rel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Prune(rel, res.Rules, PruneOptions{}); err != nil {
+		if _, _, err := Prune(cols, res.Rules, PruneOptions{RhoM: 0.25}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -169,17 +169,6 @@ func TestParallelCompletesUncanceled(t *testing.T) {
 	}
 }
 
-// TestDiscoverTargetsCancel: cancellation between per-target mines surfaces
-// the sentinel too.
-func TestDiscoverTargetsCancel(t *testing.T) {
-	rel, cfg := electricityMine(t, 1000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := DiscoverTargets(ctx, rel, []int{1, 2}, cfg); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestCompactCancel: a pre-canceled context stops Algorithm 2 before any
 // pivot is processed.
 func TestCompactCancel(t *testing.T) {

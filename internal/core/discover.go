@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -187,8 +186,8 @@ func buildColumns(rel *dataset.Relation, reg *telemetry.Registry) *dataset.Colum
 // options API promises — the paper-default predicate space over the X
 // attributes plus every categorical attribute when ℙ is unset, then
 // Validate's trainer and ρ_M defaulting — and rejects empty (or nil) inputs.
-// Every options entrypoint (Discover, DiscoverTargets, DiscoverColumns)
-// shares it, so all accept the same minimal configurations.
+// Both options entrypoints (Discover, DiscoverColumns) share it, so they
+// accept the same minimal configurations.
 func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
 	if cols == nil || cols.Len() == 0 {
 		return ErrEmptyRelation
@@ -540,39 +539,6 @@ func (r rulesByKey) Less(i, j int) bool { return r.keys[i] < r.keys[j] }
 func (r rulesByKey) Swap(i, j int) {
 	r.rules[i], r.rules[j] = r.rules[j], r.rules[i]
 	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
-}
-
-// DiscoverTargets runs the discovery engine once per target column, sharing
-// the config (the column-scalability workload of the paper's Figure 7).
-// cfg.YAttr is overridden per target, and each target goes through the same
-// defaulting as Discover: a nil ℙ derives the paper-default predicate space
-// for that target (the space depends on which column is the target, via
-// Reflexivity), and a nil Trainer or non-positive ρ_M take the documented
-// defaults. Targets appearing in cfg.XAttrs are rejected by the per-run
-// Reflexivity check. Cancellation is checked between targets and inside each
-// mine.
-func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, cfg DiscoverConfig) (map[int]*RuleSet, error) {
-	if rel == nil {
-		return nil, ErrEmptyRelation
-	}
-	cols := buildColumns(rel, cfg.Telemetry)
-	out := make(map[int]*RuleSet, len(targets))
-	for _, y := range targets {
-		if err := ctx.Err(); err != nil {
-			return nil, canceled(err)
-		}
-		c := cfg
-		c.YAttr = y
-		if err := applyDefaults(cols, &c); err != nil {
-			return nil, fmt.Errorf("core: target %d: %w", y, err)
-		}
-		res, err := discoverFor(ctx, cols, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: target %d: %w", y, err)
-		}
-		out[y] = res.Rules
-	}
-	return out, nil
 }
 
 // childPart is one refinement C ∧ p with the tuple indices it selects.

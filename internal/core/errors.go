@@ -6,8 +6,8 @@ import (
 )
 
 // Typed sentinel errors for the discovery engine. Every failure surfaced by
-// Discover, DiscoverColumns, DiscoverTargets and CompactCtx wraps one of
-// these, so callers branch with errors.Is instead of string matching.
+// Discover, DiscoverColumns and CompactCtx wraps one of these, so callers
+// branch with errors.Is instead of string matching.
 var (
 	// ErrTrivialTarget reports Y ∈ X, which would only yield trivially
 	// satisfiable rules (Reflexivity, Proposition 1).

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/regress"
 )
 
@@ -86,19 +87,10 @@ func TestPrunePropagatesTrainerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Prune(rel, res.Rules, PruneOptions{
+	_, _, err = Prune(dataset.NewColumnSet(rel), res.Rules, PruneOptions{
 		Trainer: &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0},
 	})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("prune err = %v, want the injected failure", err)
-	}
-}
-
-func TestDiscoverTargetsPropagatesTrainerError(t *testing.T) {
-	rel := piecewiseRelation(200, 0.2, 36)
-	cfg := discoverCfg(rel, 0.5)
-	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
-	if _, err := DiscoverTargets(context.Background(), rel, []int{1}, cfg); !errors.Is(err, errInjected) {
-		t.Fatalf("targets err = %v, want the injected failure", err)
 	}
 }

@@ -151,33 +151,6 @@ func TestVisitedNormalizesConjunctions(t *testing.T) {
 	}
 }
 
-// TestDiscoverTargetsDefaults pins satellite (c): DiscoverTargets must route
-// through the same defaulting as Discover, so a minimal config (nil Preds,
-// nil Trainer, zero ρ_M) works and the predicate space is re-derived per
-// target.
-func TestDiscoverTargetsDefaults(t *testing.T) {
-	rel := piecewiseRelation(200, 0.2, 9)
-	rules, err := DiscoverTargets(context.Background(), rel, []int{1}, DiscoverConfig{
-		XAttrs: []int{0},
-	})
-	if err != nil {
-		t.Fatalf("DiscoverTargets with minimal config: %v", err)
-	}
-	rs := rules[1]
-	if rs == nil || rs.NumRules() == 0 {
-		t.Fatal("no rules for defaulted target")
-	}
-	if cov := rs.Coverage(rel); cov != 1 {
-		t.Errorf("coverage = %v", cov)
-	}
-
-	// An empty relation is rejected with the target context attached.
-	empty := dataset.NewRelation(rel.Schema)
-	if _, err := DiscoverTargets(context.Background(), empty, []int{1}, DiscoverConfig{XAttrs: []int{0}}); err == nil {
-		t.Error("empty relation not rejected")
-	}
-}
-
 // TestHotPathTelemetry checks the new performance-layer metrics: the Gram
 // fast path fires, the column cache serves every expanded node, and the
 // share-scan width distribution records per-node scan sizes.

@@ -106,58 +106,3 @@ func TestDiscoverMultiFeatureCompactionAndCodec(t *testing.T) {
 		}
 	}
 }
-
-// DiscoverTargets mines one rule set per target column.
-func TestDiscoverTargets(t *testing.T) {
-	rel := multiXRelation(400, 0.2, 3)
-	preds := predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{})
-	sets, err := DiscoverTargets(context.Background(), rel, []int{3, 0}, DiscoverConfig{
-		XAttrs: []int{1}, // B predicts both Y and A (A poorly, but covered)
-		RhoM:   20,
-		Preds:  preds, Trainer: regress.LinearTrainer{},
-	})
-	if err != nil {
-		t.Fatalf("DiscoverTargets: %v", err)
-	}
-	if len(sets) != 2 {
-		t.Fatalf("sets = %d, want 2", len(sets))
-	}
-	for y, rs := range sets {
-		if cov := rs.Coverage(rel); cov != 1 {
-			t.Errorf("target %d coverage = %v", y, cov)
-		}
-	}
-	// A target clashing with X is rejected.
-	if _, err := DiscoverTargets(context.Background(), rel, []int{1}, DiscoverConfig{
-		XAttrs: []int{1}, RhoM: 1, Trainer: regress.LinearTrainer{},
-	}); err == nil {
-		t.Error("Y ∈ X accepted by DiscoverTargets")
-	}
-}
-
-// TestDiscoverTargetsBitwise: DiscoverTargets routes every target through the
-// same strategy seam as Discover, so mining targets jointly and one at a time
-// must be bitwise-identical (conditions, ρ bits, model coefficients).
-func TestDiscoverTargetsBitwise(t *testing.T) {
-	rel := multiXRelation(400, 0.2, 3)
-	preds := predicate.Generate(rel, []int{2}, predicate.GeneratorConfig{})
-	cfg := DiscoverConfig{
-		XAttrs: []int{1},
-		RhoM:   20,
-		Preds:  preds, Trainer: regress.LinearTrainer{},
-	}
-	targets := []int{3, 0}
-	sets, err := DiscoverTargets(context.Background(), rel, targets, cfg)
-	if err != nil {
-		t.Fatalf("DiscoverTargets: %v", err)
-	}
-	for _, y := range targets {
-		c := cfg
-		c.YAttr = y
-		res, err := Discover(context.Background(), rel, WithConfig(c))
-		if err != nil {
-			t.Fatalf("Discover target %d: %v", y, err)
-		}
-		sameRuleSet(t, res.Rules, sets[y])
-	}
-}

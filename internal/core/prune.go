@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -9,33 +8,25 @@ import (
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
-	"github.com/crrlab/crr/internal/stats"
 )
 
 // This file implements the post-pruning the paper leaves as future work
-// (§VII): "pruning through chi-squared independence test … to the CRRs
-// discovered by Algorithm 1 to avoid overfitting of conditions". Adjacent
-// condition windows whose data plausibly follow one regression model (a
-// Chow-style equality-of-models test on SSEs, internal/stats) are merged and
-// refit, undoing over-refinement caused by a too-small ρ_M or an over-rich
-// predicate space.
+// (§VII): "pruning … to the CRRs discovered by Algorithm 1 to avoid
+// overfitting of conditions". Adjacent condition windows are merged and
+// refit, undoing over-refinement caused by a too-small ρ_M or an
+// over-rich predicate space. The paper proposes a χ² test; a merge here is
+// kept only when it keeps Problem 1's bound instead — the joint refit's
+// maximum error over the trainable rows the merged condition selects is at
+// most ρ_M — so every rule Prune creates holds the bound discovery
+// promised.
 
 // PruneOptions configures Prune.
 type PruneOptions struct {
-	// Alpha is the significance level of the equality test; merges happen
-	// when equality is NOT rejected at this level. 0 means 0.05.
-	Alpha float64
+	// RhoM is the bias bound a merged rule must keep; non-positive selects
+	// DefaultMaxBias, as in discovery.
+	RhoM float64
 	// Trainer refits merged parts; nil means OLS.
 	Trainer regress.Trainer
-	// Relief is the small-sample fallback criterion: when the merged part is
-	// too small for the equality test to have power (n ≤ 2p+6, fits nearly
-	// interpolate), windows merge iff the joint fit's maximum error is at
-	// most Relief times the larger per-part maximum error. 0 means 3.
-	Relief float64
-	// Attr is the numeric attribute whose windows are merged; ≤ 0 selects
-	// the rule set's first X attribute (attribute 0 itself is covered by
-	// that default, being the only way it can be a window axis here).
-	Attr int
 }
 
 // PruneStats reports the pruning work.
@@ -44,27 +35,25 @@ type PruneStats struct {
 	Merged int // merges applied
 }
 
-// Prune merges adjacent single-conjunction rules of a discovered set when a
-// statistical test cannot distinguish their models, refitting the merged
-// part. Rules with multi-conjunction conditions, distinct categorical
-// contexts or non-adjacent windows are left untouched. Run it on Algorithm
-// 1's output (before Compact) — compaction reorganizes conditions into DNFs
-// that no longer expose adjacency.
-func Prune(rel *dataset.Relation, s *RuleSet, opts PruneOptions) (*RuleSet, PruneStats, error) {
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.05
+// Prune merges adjacent single-conjunction windows of a discovered set on
+// the rule set's first X attribute while the joint refit over cols stays
+// within opts.RhoM; the merged rule's ρ is that refit's maximum error.
+// Rules with multi-conjunction conditions, distinct categorical contexts or
+// non-adjacent windows, and windows no merge absorbs, pass through
+// unchanged (a forced rule published above ρ_M included). Run it on
+// Algorithm 1's output (before Compact) — compaction reorganizes conditions
+// into DNFs that no longer expose adjacency.
+func Prune(cols *dataset.ColumnSet, s *RuleSet, opts PruneOptions) (*RuleSet, PruneStats, error) {
+	cfg := DiscoverConfig{XAttrs: s.XAttrs, YAttr: s.YAttr, RhoM: opts.RhoM, Trainer: opts.Trainer}
+	if err := cfg.Validate(); err != nil {
+		return nil, PruneStats{}, err
 	}
-	relief := opts.Relief
-	if relief == 0 {
-		relief = 3
+	sub, err := newSubstrate(cols, &cfg)
+	if err != nil {
+		return nil, PruneStats{}, err
 	}
-	trainer := opts.Trainer
-	if trainer == nil {
-		trainer = regress.LinearTrainer{}
-	}
-	attr := opts.Attr
-	if attr <= 0 && len(s.XAttrs) > 0 {
+	attr := -1
+	if len(s.XAttrs) > 0 {
 		attr = s.XAttrs[0]
 	}
 
@@ -85,7 +74,7 @@ func Prune(rel *dataset.Relation, s *RuleSet, opts PruneOptions) (*RuleSet, Prun
 	for ri := range s.Rules {
 		r := &s.Rules[ri]
 		// Multi-conjunction rules don't expose adjacency; single-conjunction
-		// rules qualify regardless of builtins — tryMerge refits the merged
+		// rules qualify regardless of builtins — a merge refits the merged
 		// part from data, so the shift the old rule carried is irrelevant.
 		if len(r.Cond.Conjs) != 1 {
 			kept = append(kept, *r)
@@ -112,15 +101,11 @@ func Prune(rel *dataset.Relation, s *RuleSet, opts PruneOptions) (*RuleSet, Prun
 
 	var st PruneStats
 	var merged []CRR
-	// One columnar mirror serves every coverage check of the merge loop:
-	// window parts are selected with vectorized conjunction filters instead
-	// of per-tuple Sat scans.
-	view := dataset.NewColumnSet(rel).View()
+	var rows []int
 	i := 0
 	for i < len(windows) {
 		cur := windows[i]
 		rule := s.Rules[cur.rule]
-		curConj := cur.conj
 		// Greedily absorb following adjacent windows of the same context.
 		for i+1 < len(windows) {
 			next := windows[i+1]
@@ -128,96 +113,35 @@ func Prune(rel *dataset.Relation, s *RuleSet, opts PruneOptions) (*RuleSet, Prun
 				break
 			}
 			st.Tested++
-			ok, newModel, newRho, err := tryMerge(rel, view, s, trainer, curConj, next.conj, alpha, relief)
+			conj := mergeWindows(cur.conj, next.conj, attr)
+			rows = conj.Filter(cols, sub.TrainableRows(), rows)
+			if len(rows) == 0 {
+				break
+			}
+			m, err := sub.Fit(rows)
 			if err != nil {
 				return nil, st, err
 			}
-			if !ok {
+			rho := sub.MaxAbsError(m, rows)
+			if !(rho <= cfg.RhoM) {
 				break
 			}
 			st.Merged++
-			curConj = mergeWindows(curConj, next.conj, attr)
-			cur.hi = next.hi
+			cur.conj, cur.hi = conj, next.hi
 			rule = CRR{
-				Model:  newModel,
-				Rho:    newRho,
-				Cond:   predicate.NewDNF(curConj),
+				Model:  m,
+				Rho:    rho,
+				Cond:   predicate.NewDNF(conj),
 				XAttrs: out.XAttrs,
 				YAttr:  s.YAttr,
 			}
 			i++
-		}
-		if len(rule.Cond.Conjs) == 1 {
-			rule.Cond = predicate.NewDNF(curConj)
 		}
 		merged = append(merged, rule)
 		i++
 	}
 	out.Rules = append(merged, kept...)
 	return out, st, nil
-}
-
-// tryMerge tests whether the data under two conjunctions follows one model;
-// on success it returns the joint model and its max-bias. Large merged parts
-// use the Chow-style equality test; small parts (where per-part fits nearly
-// interpolate and the test has no power) use the relief criterion on the
-// maximum error.
-func tryMerge(rel *dataset.Relation, view *dataset.View, s *RuleSet, trainer regress.Trainer,
-	a, b predicate.Conjunction, alpha, relief float64) (bool, regress.Model, float64, error) {
-	partA := a.Filter(view.Cols, view.Sel, nil)
-	partB := b.Filter(view.Cols, view.Sel, nil)
-	if len(partA) == 0 || len(partB) == 0 {
-		return false, nil, 0, nil
-	}
-	xa, ya, _ := FeatureRows(rel, partA, s.XAttrs, s.YAttr)
-	xb, yb, _ := FeatureRows(rel, partB, s.XAttrs, s.YAttr)
-	p := len(s.XAttrs) + 1
-	n := len(xa) + len(xb)
-	if n == 0 {
-		return false, nil, 0, nil
-	}
-	ma, err := trainer.Train(xa, ya)
-	if err != nil {
-		return false, nil, 0, fmt.Errorf("core: prune refit: %w", err)
-	}
-	mb, err := trainer.Train(xb, yb)
-	if err != nil {
-		return false, nil, 0, fmt.Errorf("core: prune refit: %w", err)
-	}
-	xj := append(append([][]float64{}, xa...), xb...)
-	yj := append(append([]float64{}, ya...), yb...)
-	mj, err := trainer.Train(xj, yj)
-	if err != nil {
-		return false, nil, 0, fmt.Errorf("core: prune refit: %w", err)
-	}
-	jointErr := regress.MaxAbsError(mj, xj, yj)
-	if n <= 2*p+6 {
-		splitErr := regress.MaxAbsError(ma, xa, ya)
-		if e := regress.MaxAbsError(mb, xb, yb); e > splitErr {
-			splitErr = e
-		}
-		if splitErr == 0 {
-			// Interpolating per-part fits: accept only a near-exact joint.
-			return jointErr <= 1e-9, mj, jointErr, nil
-		}
-		return jointErr <= relief*splitErr, mj, jointErr, nil
-	}
-	sseSplit := sseOf(ma, xa, ya) + sseOf(mb, xb, yb)
-	sseJoint := sseOf(mj, xj, yj)
-	reject, _, err := stats.ModelEqualityTest(sseJoint, sseSplit, p, n, alpha)
-	if err != nil || reject {
-		return false, nil, 0, err
-	}
-	return true, mj, jointErr, nil
-}
-
-func sseOf(m regress.Model, x [][]float64, y []float64) float64 {
-	var s float64
-	for i, row := range x {
-		d := y[i] - m.Predict(row)
-		s += d * d
-	}
-	return s
 }
 
 // contextKey renders a conjunction's predicates excluding the window

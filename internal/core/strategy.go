@@ -259,10 +259,10 @@ func strategyOf(cfg *DiscoverConfig) Strategy {
 	return LatticeStrategy{}
 }
 
-// discoverFor is the single entry path of the discovery engine: every public
-// entrypoint (Discover, DiscoverTargets, DiscoverColumns) runs applyDefaults
-// and then funnels a configuration and the run's ColumnSet through here, so
-// strategy selection and substrate preparation happen in exactly one place.
+// discoverFor is the single entry path of the discovery engine: both public
+// entrypoints (Discover, DiscoverColumns) run applyDefaults and then funnel a
+// configuration and the run's ColumnSet through here, so strategy selection
+// and substrate preparation happen in exactly one place.
 func discoverFor(ctx context.Context, cols *dataset.ColumnSet, cfg DiscoverConfig) (*DiscoverResult, error) {
 	strat := strategyOf(&cfg)
 	sub, err := newSubstrate(cols, &cfg)

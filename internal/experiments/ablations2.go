@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"github.com/crrlab/crr/internal/core"
+	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/eval"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
@@ -42,21 +43,23 @@ func AblationFuse(ctx context.Context, scale float64) ([]Row, error) {
 
 // AblationPrune measures the §VII post-pruning on an over-refined discovery:
 // ρ_M below the noise floor fragments a dataset into many windows; pruning
-// should merge statistically indistinguishable neighbors with little RMSE
-// cost.
+// merges neighbors whose joint refit stays within that same ρ_M.
 func AblationPrune(ctx context.Context, scale float64) ([]Row, error) {
 	var rows []Row
 	for _, spec := range []DatasetSpec{AirQualitySpec(), AbaloneSpec()} {
 		rel := spec.Gen(scaled(3000, scale, 600))
 		train, test := splitInterleaved(rel, 5)
-		preds := predicate.Generate(train, spec.CondAttrs, predicate.GeneratorConfig{
+		// One ColumnSet serves predicate generation, discovery and pruning.
+		cols := dataset.NewColumnSet(train)
+		preds := predicate.GenerateColumns(cols, spec.CondAttrs, predicate.GeneratorConfig{
 			ExpertCuts: spec.ExpertCuts,
 		})
 		// Deliberately over-refine: a quarter of the dataset's ρ_M.
-		res, err := core.Discover(ctx, train, core.WithConfig(core.DiscoverConfig{
+		rhoM := spec.RhoM / 4
+		res, err := core.DiscoverColumns(ctx, cols, core.WithConfig(core.DiscoverConfig{
 			XAttrs:  spec.XAttrs,
 			YAttr:   spec.YAttr,
-			RhoM:    spec.RhoM / 4,
+			RhoM:    rhoM,
 			Preds:   preds,
 			Trainer: regress.LinearTrainer{},
 		}))
@@ -72,7 +75,7 @@ func AblationPrune(ctx context.Context, scale float64) ([]Row, error) {
 		var pruned *core.RuleSet
 		pruneTime := eval.Timed(func() {
 			var err2 error
-			pruned, _, err2 = core.Prune(train, res.Rules, core.PruneOptions{})
+			pruned, _, err2 = core.Prune(cols, res.Rules, core.PruneOptions{RhoM: rhoM})
 			if err2 != nil {
 				err = err2
 			}

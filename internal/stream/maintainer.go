@@ -29,6 +29,12 @@
 // Nothing here mines new rules: the rows of a retired rule fall back to the
 // window's target mean.
 //
+// Every refit is ordinary least squares, so New accepts only OLS (linear,
+// F1) rules and refuses any other family with ErrModelFamily rather than
+// turn it into an OLS rule on its first refit. Ridge (F2) rules wait on the
+// artifact recording their λ; MLP (F3) rules have no sufficient-statistics
+// refit.
+//
 // Refreshed rule sets leave through Snapshot(), a freshly indexed RuleSet
 // suitable for atomic hot-swap into a serving process (serve.Install /
 // InstallIfGeneration, or POST /v1/reload over the wire — cmd/crrstream
@@ -76,6 +82,10 @@ type Config struct {
 	// rebuild). Default: silent.
 	Logf func(format string, args ...any)
 }
+
+// ErrModelFamily reports a rule whose model family the maintainer cannot
+// refit: every refit is OLS, so only linear (F1) rules are accepted.
+var ErrModelFamily = errors.New("stream: only OLS (linear) rules can be maintained")
 
 // dirtyFrac is the refit trigger: a rule is re-examined once its
 // adds+expirations since the last examination reach this fraction of its
@@ -173,10 +183,16 @@ type Maintainer struct {
 
 // New builds a Maintainer over rules. The rule set is copied shallowly —
 // conditions and schema are shared (they are immutable here), models are
-// replaced wholesale on refit — so the caller's set is never mutated.
+// replaced wholesale on refit — so the caller's set is never mutated. A rule
+// whose model is not linear fails with an error wrapping ErrModelFamily.
 func New(rules *core.RuleSet, cfg Config) (*Maintainer, error) {
 	if rules == nil || rules.Schema == nil {
 		return nil, errors.New("stream: rule set must carry a schema")
+	}
+	for i := range rules.Rules {
+		if f := rules.Rules[i].Model.Family(); f != "linear" {
+			return nil, fmt.Errorf("%w: rule %d is %s", ErrModelFamily, i, f)
+		}
 	}
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("stream: Config.Window %d must be positive", cfg.Window)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -356,5 +357,29 @@ func TestMaintainerConfigValidation(t *testing.T) {
 	}
 	if _, err := New(nil, Config{Window: 10, RhoM: 1}); err == nil {
 		t.Error("nil rule set accepted")
+	}
+}
+
+// TestNewRefusesNonOLSFamilies: the maintainer refits with OLS, so a ridge
+// (F2) or MLP (F3) artifact must be refused at load instead of coming back
+// as OLS rules after the first refit.
+func TestNewRefusesNonOLSFamilies(t *testing.T) {
+	rel := dataset.GenerateTax(dataset.TaxConfig{Rows: 600, Noise: 0.5, Seed: 4})
+	state := rel.Schema.MustIndex("State")
+	for _, trainer := range []regress.Trainer{regress.LinearTrainer{Ridge: 1}, regress.NewMLPTrainer(1)} {
+		res, err := core.Discover(context.Background(), rel, core.WithConfig(core.DiscoverConfig{
+			XAttrs:  []int{rel.Schema.MustIndex("Salary")},
+			YAttr:   rel.Schema.MustIndex("Tax"),
+			RhoM:    60,
+			Preds:   predicate.Generate(rel, []int{state}, predicate.GeneratorConfig{}),
+			Trainer: trainer,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		family := res.Rules.Rules[0].Model.Family()
+		if _, err := New(res.Rules, Config{Window: 512, RhoM: 60}); !errors.Is(err, ErrModelFamily) {
+			t.Errorf("%s rules: err = %v, want ErrModelFamily", family, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -23,14 +24,18 @@ import (
 //     built directly from the relation;
 //   - discovery parity: DiscoverColumns over the store must reproduce the
 //     canonical one-worker columnar rule set bitwise — conditions, ρ bits
-//     and model coefficients.
+//     and model coefficients;
+//   - prune parity: Prune of the dense-space rule set over the store's
+//     ColumnSet must write the same artifact bytes as Prune over the
+//     ColumnSet built from the relation.
 
 // colstoreChunkRows keeps the oracle build multi-chunk on every target size.
 const colstoreChunkRows = 173
 
 // colstoreOracle builds, reopens and diffs the store. rules is the canonical
-// one-worker columnar result from the discovery matrix.
-func (rn *runner) colstoreOracle(ctx context.Context, t Target, rules *core.RuleSet) error {
+// one-worker columnar result from the discovery matrix, dense the set the
+// prune oracle mined over the paper-default space.
+func (rn *runner) colstoreOracle(ctx context.Context, t Target, rules, dense *core.RuleSet) error {
 	dir, err := os.MkdirTemp("", "crr-verify-colstore-*")
 	if err != nil {
 		return fmt.Errorf("colstore oracle: %w", err)
@@ -60,6 +65,25 @@ func (rn *runner) colstoreOracle(ctx context.Context, t Target, rules *core.Rule
 		return fmt.Errorf("colstore oracle: discover over store: %w", err)
 	}
 	rn.check("colstore/discover-bitwise", diffRuleSets(rules, res.Rules))
+
+	var want, got bytes.Buffer
+	for _, run := range []struct {
+		cols *dataset.ColumnSet
+		out  *bytes.Buffer
+	}{{dataset.NewColumnSet(t.Rel), &want}, {st.Columns(), &got}} {
+		pruned, _, err := core.Prune(run.cols, dense, core.PruneOptions{RhoM: t.RhoM})
+		if err != nil {
+			return fmt.Errorf("colstore oracle: prune: %w", err)
+		}
+		if err := core.WriteRuleSet(run.out, pruned); err != nil {
+			return fmt.Errorf("colstore oracle: encode pruned set: %w", err)
+		}
+	}
+	detail := ""
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		detail = fmt.Sprintf("pruned artifact differs: %d bytes from the relation, %d from the store", want.Len(), got.Len())
+	}
+	rn.check("colstore/prune-bitwise", detail)
 	return nil
 }
 

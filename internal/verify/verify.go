@@ -19,6 +19,8 @@
 //     (Propositions 2–9): identical coverage, bias within ρ (plus the
 //     documented tolerance-induced drift bound), Implies consistency per
 //     Definition 2.
+//   - Post-pass bound: every rule Prune creates keeps ρ ≤ ρ_M, with ρ the
+//     tuple-by-tuple maximum error over the rows it selects (prune/budget).
 //   - Metamorphic invariants: row permutation, row duplication, attribute
 //     renaming and unit translation (x+Δ, y+δ) must leave discovered rule
 //     semantics invariant; violations come with a minimized reproducer.
@@ -214,8 +216,14 @@ func (rn *runner) runTarget(ctx context.Context, t Target) (*DatasetReport, erro
 	rn.classificationOracles(t, rules, "discovered")
 	rn.codecOracle(t, rules, "discovered")
 
+	rn.logf("[%s] prune within ρM", t.Name)
+	dense, err := rn.pruneOracle(ctx, t, rules)
+	if err != nil {
+		return nil, err
+	}
+
 	rn.logf("[%s] out-of-core store parity", t.Name)
-	if err := rn.colstoreOracle(ctx, t, rules); err != nil {
+	if err := rn.colstoreOracle(ctx, t, rules, dense); err != nil {
 		return nil, err
 	}
 
