@@ -9,8 +9,10 @@ all: build test
 build:
 	$(GO) build ./...
 
+# cmd/crrperf is its own module, so ./... skips it; CI's test job runs it too.
 test:
 	$(GO) test ./...
+	$(GO) test -C cmd/crrperf ./...
 
 race:
 	$(GO) test -race ./...
@@ -63,6 +65,7 @@ verify-quick:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C cmd/crrperf ./...
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 
 fmt:

@@ -242,6 +242,7 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 	rules := res.Rules
 	fmt.Fprintf(w, "discovered %d rules (%d models trained, %d shared, %d nodes)\n",
 		rules.NumRules(), res.Stats.ModelsTrained, res.Stats.ShareHits, res.Stats.NodesExpanded)
+	stopCompact := reg.Time(telemetry.PhaseCompact)
 	if rc.prune {
 		pruned, pst, err := core.Prune(cols, rules, core.PruneOptions{RhoM: rhoM, Trainer: trainer})
 		if err != nil {
@@ -251,7 +252,6 @@ func runTo(ctx context.Context, w io.Writer, rc runConfig) error {
 			pruned.NumRules(), pst.Merged, pst.Tested)
 		rules = pruned
 	}
-	stopCompact := reg.Time(telemetry.PhaseCompact)
 	if compact {
 		compacted, stats, err := core.CompactCtx(ctx, rules, core.CompactOptions{ModelTol: tol, Telemetry: reg})
 		if err != nil {

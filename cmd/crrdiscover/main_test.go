@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -13,7 +14,10 @@ import (
 	"time"
 
 	"github.com/crrlab/crr/internal/colstore"
+	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/predicate"
+	"github.com/crrlab/crr/internal/regress"
 )
 
 // writeTaxCSV writes a small Tax CSV fixture and returns its path.
@@ -341,5 +345,57 @@ func TestRunDiscoverStrategy(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown -strategy accepted")
+	}
+}
+
+// TestRunPruneChargedToCompactPhase: -prune's time lands in phase.compact,
+// the phase that also covers compaction and window merging, so a run's
+// phases account for it. The reference is the fastest of five core.Prune
+// calls on the same discovered rules over the same relation's columns.
+func TestRunPruneChargedToCompactPhase(t *testing.T) {
+	cfg := dataset.DefaultAirQualityConfig()
+	cfg.Rows = 6000
+	rel := dataset.GenerateAirQuality(cfg)
+	input := writeCSV(t, t.TempDir(), "aq.csv", rel)
+	rc := pruneRun
+	rc.input, rc.metrics = input, "-"
+	var out bytes.Buffer
+	if err := runTo(context.Background(), &out, rc); err != nil {
+		t.Fatalf("run -prune: %v", err)
+	}
+	var phase float64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "crr_phase_compact_sum "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			phase = v
+		}
+	}
+
+	cols := dataset.NewColumnSet(rel)
+	timeAttr, co := rel.Schema.MustIndex("Time"), rel.Schema.MustIndex("CO")
+	res, err := core.DiscoverColumns(context.Background(), cols, core.WithConfig(core.DiscoverConfig{
+		XAttrs: []int{timeAttr}, YAttr: co, RhoM: rc.rhoM, Trainer: regress.LinearTrainer{}, Workers: 1,
+		Preds: predicate.GenerateColumns(cols, []int{timeAttr}, predicate.GeneratorConfig{}),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countAfter(t, out.String(), "discovered "); got != res.Rules.NumRules() {
+		t.Fatalf("run discovered %d rules, the reference %d", got, res.Rules.NumRules())
+	}
+	prune := time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		if _, _, err := core.Prune(cols, res.Rules, core.PruneOptions{RhoM: rc.rhoM}); err != nil {
+			t.Fatal(err)
+		}
+		prune = min(prune, time.Since(start))
+	}
+	t.Logf("phase.compact %.6fs, core.Prune %v over %d rules", phase, prune, res.Rules.NumRules())
+	if phase < prune.Seconds()/2 {
+		t.Errorf("phase.compact = %.6fs under -prune, want at least half of core.Prune's %v", phase, prune)
 	}
 }

@@ -42,7 +42,10 @@ func discoverAndSave(csvPath, rulesPath string) error {
 	if err != nil {
 		return err
 	}
-	rules, _ := core.Compact(res.Rules)
+	rules, _, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{})
+	if err != nil {
+		return err
+	}
 	out, err := os.Create(rulesPath)
 	if err != nil {
 		return err

@@ -46,7 +46,10 @@ func main() {
 	fmt.Printf("Algorithm 1: %d rules, %d via model sharing, %d models trained\n",
 		res.Rules.NumRules(), res.Stats.ShareHits, res.Stats.ModelsTrained)
 
-	rules, stats := core.CompactOpts(res.Rules, core.CompactOptions{ModelTol: 0.02})
+	rules, stats, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{ModelTol: 0.02})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Algorithm 2: %d rules after %d translations and %d fusions\n\n",
 		rules.NumRules(), stats.Translations, stats.Fusions)
 

@@ -41,7 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compacted, _ := core.CompactOpts(res.Rules, core.CompactOptions{ModelTol: 0.05})
+	compacted, _, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{ModelTol: 0.05})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for _, variant := range []struct {
 		name  string

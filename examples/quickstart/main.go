@@ -62,7 +62,10 @@ func main() {
 		res.Rules.NumRules(), res.Stats.ShareHits)
 
 	// Algorithm 2: compaction via Translation + Generalization + Fusion.
-	rules, stats := core.Compact(res.Rules)
+	rules, stats, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Algorithm 2 compacted to %d rules (%d translations, %d fusions)\n",
 		rules.NumRules(), stats.Translations, stats.Fusions)
 

@@ -44,7 +44,10 @@ func main() {
 	// Model sharing in Algorithm 1 may already have reused one state's model
 	// for another (with a y = δ builtin); compaction then only needs Fusion.
 	// Translation fires for formulas that were trained independently.
-	rules, stats := core.CompactOpts(res.Rules, core.CompactOptions{ModelTol: 0.002})
+	rules, stats, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{ModelTol: 0.002})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Algorithm 2: %d rules (%d translations, %d fusions)\n\n",
 		rules.NumRules(), stats.Translations, stats.Fusions)
 

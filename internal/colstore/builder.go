@@ -282,7 +282,7 @@ func (b *Builder) AppendRelation(rel *dataset.Relation) error {
 // count and checksum), writes dictionaries and bitmaps, and lands the
 // manifest last via temp-file + rename — the versioned-store discipline: a
 // crash at any earlier point leaves a directory without a manifest, which
-// Open rejects, never a half-store that parses.
+// OpenWith rejects, never a half-store that parses.
 func (b *Builder) Finish() error {
 	if b.err != nil {
 		return b.err

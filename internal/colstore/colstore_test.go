@@ -160,7 +160,7 @@ func TestDictGrowsAcrossChunks(t *testing.T) {
 	if err := Build(dir, rel, 5); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestZeroAndTinyStores(t *testing.T) {
 		if err := Build(dir, rel, 0); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		st, err := Open(dir)
+		st, err := OpenWith(dir, OpenOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -221,7 +221,7 @@ func TestBuildCSVFileParity(t *testing.T) {
 	if err := BuildCSVFile(dir, csvPath, 37); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBuildCSVFileMalformed(t *testing.T) {
 	if err := BuildCSVFile(dir, csvPath, 0); !errors.Is(err, dataset.ErrMalformedCSV) {
 		t.Fatalf("got %v, want ErrMalformedCSV", err)
 	}
-	if _, err := Open(dir); err == nil {
+	if _, err := OpenWith(dir, OpenOptions{}); err == nil {
 		t.Fatal("aborted build left an openable store")
 	}
 }
@@ -362,7 +362,7 @@ func TestOpenRejectsDamage(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			dir := build(t)
 			d.hit(t, dir)
-			_, err := Open(dir)
+			_, err := OpenWith(dir, OpenOptions{})
 			if err == nil {
 				t.Fatal("damaged store opened")
 			}
@@ -383,7 +383,7 @@ func TestLaneChecksumOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipBytes(t, filepath.Join(dir, "col1.f64"), headerSize+40)
-	st, err := Open(dir)
+	st, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("default open should not read lane payloads: %v", err)
 	}

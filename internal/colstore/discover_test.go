@@ -28,7 +28,7 @@ func TestDiscoverOverStoreBitwise(t *testing.T) {
 			if err := colstore.Build(dir, rel, 97); err != nil {
 				t.Fatal(err)
 			}
-			st, err := colstore.Open(dir)
+			st, err := colstore.OpenWith(dir, colstore.OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@
 // The payload starts at byte 64 of a page-aligned mapping, so []float64 /
 // []uint32 / []uint64 views of the mapped bytes are always aligned.
 //
-// Open maps each lane read-only and adopts them into a dataset.ColumnSet
+// OpenWith maps each lane read-only and adopts them into a dataset.ColumnSet
 // via dataset.AdoptColumnSet — the lanes are written pre-normalized to the
 // exact in-memory representation (raw Nums under null bits, NullCode +
 // bitmap bit for null categorical cells, first-appearance dictionary order),
@@ -39,7 +39,7 @@ const (
 	headerSize = 64
 	// manifestName is the store descriptor, written last.
 	manifestName = "manifest.json"
-	// manifestFormat guards against pointing Open at some other JSON.
+	// manifestFormat guards against pointing OpenWith at some other JSON.
 	manifestFormat = "crr-colstore"
 )
 

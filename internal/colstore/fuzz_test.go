@@ -11,7 +11,7 @@ import (
 
 // FuzzColstoreOpen feeds hostile bytes into the store open path: the fuzzer
 // controls the manifest, a lane file, a dictionary file and a bitmap file.
-// Open must either succeed or return an error — it must never panic, and a
+// OpenWith must either succeed or return an error — it must never panic, and a
 // hostile header must never force an allocation proportional to its declared
 // (rather than actual) size. Truncation, bad magic, checksum damage and
 // oversize declared lengths all funnel through here.
@@ -54,7 +54,7 @@ func FuzzColstoreOpen(f *testing.F) {
 		writeIf("col0.nulls", bitmapFile)
 		writeIf("col1.codes", codesFile)
 		writeIf("col1.dict", dictFile)
-		st, err := Open(dir)
+		st, err := OpenWith(dir, OpenOptions{})
 		if err != nil {
 			return
 		}
@@ -124,7 +124,7 @@ func TestFuzzSeedStoreOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := Open(dir)
+	st, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
-// OpenOptions tunes Open.
+// OpenOptions tunes OpenWith.
 type OpenOptions struct {
 	// VerifyChecksums forces a full CRC pass over every lane at open,
 	// reading the whole store. Off by default: dictionaries and bitmaps are
@@ -45,9 +45,6 @@ type laneRef struct {
 	h       header
 	payload []byte
 }
-
-// Open maps the store at dir. See OpenWith for options.
-func Open(dir string) (*Store, error) { return OpenWith(dir, OpenOptions{}) }
 
 // OpenWith maps the store at dir read-only, validates every header, decodes
 // and checksums dictionaries and null bitmaps, bounds-checks every code lane
@@ -216,7 +213,7 @@ func (s *Store) Rows() int { return s.rows }
 func (s *Store) Columns() *dataset.ColumnSet { return s.cols }
 
 // Verify re-checksums every mapped file against its header — the full-read
-// integrity pass Open skips for bulk lanes. ctx cancels between lanes.
+// integrity pass OpenWith skips for bulk lanes. ctx cancels between lanes.
 func (s *Store) Verify(ctx context.Context) error {
 	for _, l := range s.lanes {
 		if err := ctx.Err(); err != nil {

@@ -36,9 +36,10 @@ func BenchmarkDiscoverSequential(b *testing.B) {
 func BenchmarkDiscoverParallel4(b *testing.B) {
 	rel := benchRelation(b, 4000)
 	cfg := discoverCfg(rel, 0.5)
+	cfg.Workers = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err != nil {
+		if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +81,7 @@ func BenchmarkCompact(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compact(res.Rules)
+		compactExact(b, res.Rules)
 	}
 }
 
@@ -226,7 +227,11 @@ func classifySets(b *testing.B) []classifySet {
 				classifySetsErr = err
 				return
 			}
-			rules, _ := Compact(res.Rules)
+			rules, _, err := CompactCtx(context.Background(), res.Rules, CompactOptions{})
+			if err != nil {
+				classifySetsErr = err
+				return
+			}
 			classifySetsVal = append(classifySetsVal, classifySet{c.name, rules, dataset.NewColumnSet(c.batch)})
 		}
 	})

@@ -27,7 +27,7 @@ func TestCodecRoundTripCompactedRuleSet(t *testing.T) {
 		rs.Rules = append(rs.Rules, ruleOn(
 			regress.NewLinear(float64(i)*-3, 0.5), 0.2, condRange(lo, lo+10)))
 	}
-	compacted, stats := Compact(rs)
+	compacted, stats := compactExact(t, rs)
 	if stats.Translations == 0 || stats.Fusions == 0 {
 		t.Fatalf("setup produced no inferences: %+v", stats)
 	}

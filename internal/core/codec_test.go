@@ -18,7 +18,7 @@ func TestRuleSetCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, _ := Compact(res.Rules)
+	rules, _ := compactExact(t, res.Rules)
 
 	var buf bytes.Buffer
 	if err := WriteRuleSet(&buf, rules); err != nil {

@@ -59,15 +59,12 @@ func TestDiscoverColumnsBitwise(t *testing.T) {
 func TestDiscoverColumnsDefaultPredicates(t *testing.T) {
 	spec := experiments.TaxSpec()
 	rel := spec.Gen(300)
-	opts := []core.DiscoverOption{
-		core.WithSignature(spec.XAttrs, spec.YAttr),
-		core.WithMaxBias(spec.RhoM),
-	}
-	relRes, err := core.Discover(context.Background(), rel, opts...)
+	opt := core.WithConfig(core.DiscoverConfig{XAttrs: spec.XAttrs, YAttr: spec.YAttr, RhoM: spec.RhoM})
+	relRes, err := core.Discover(context.Background(), rel, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	colRes, err := core.DiscoverColumns(context.Background(), dataset.NewColumnSet(rel), opts...)
+	colRes, err := core.DiscoverColumns(context.Background(), dataset.NewColumnSet(rel), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,15 +411,18 @@ func TestDiscoverCoversNullAndNaNConditionCells(t *testing.T) {
 			Trainer: regress.LinearTrainer{},
 		}
 		for _, engine := range []struct {
-			name string
-			opt  core.DiscoverOption
+			name     string
+			workers  int
+			strategy core.Strategy
 		}{
-			{"sequential", core.WithWorkers(1)},
-			{"parallel", core.WithWorkers(2)},
-			{"growprune", core.WithStrategy(induction.GrowPrune{})},
+			{"sequential", 1, nil},
+			{"parallel", 2, nil},
+			{"growprune", 0, induction.GrowPrune{}},
 		} {
 			t.Run(gap.name+"/"+engine.name, func(t *testing.T) {
-				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), engine.opt)
+				cfg := cfg
+				cfg.Workers, cfg.Strategy = engine.workers, engine.strategy
+				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -505,15 +508,18 @@ func TestDiscoverSkipsNonFiniteCells(t *testing.T) {
 			Trainer: regress.LinearTrainer{},
 		}
 		for _, engine := range []struct {
-			name string
-			opt  core.DiscoverOption
+			name     string
+			workers  int
+			strategy core.Strategy
 		}{
-			{"sequential", core.WithWorkers(1)},
-			{"parallel", core.WithWorkers(2)},
-			{"growprune", core.WithStrategy(induction.GrowPrune{})},
+			{"sequential", 1, nil},
+			{"parallel", 2, nil},
+			{"growprune", 0, induction.GrowPrune{}},
 		} {
 			t.Run(poison.name+"/"+engine.name, func(t *testing.T) {
-				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), engine.opt)
+				cfg := cfg
+				cfg.Workers, cfg.Strategy = engine.workers, engine.strategy
+				res, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}

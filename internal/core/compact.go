@@ -30,10 +30,10 @@ type CompactStats struct {
 type CompactOptions struct {
 	// ModelTol is the parameter tolerance for deciding that two models are
 	// translations of each other (slopes equal within tol) or identical
-	// (all weights within tol). The default modelTol keeps compaction an
-	// exact inference; experiments on noisy fits pass a tolerance matched
-	// to the data's slope-estimation error, trading a bounded semantic
-	// drift for the rule-count reduction the paper reports.
+	// (all weights within tol). Zero selects modelTol, which keeps
+	// compaction an exact inference; experiments on noisy fits pass a
+	// tolerance matched to the data's slope-estimation error, trading a
+	// bounded semantic drift for the rule-count reduction the paper reports.
 	ModelTol float64
 	// Telemetry receives compaction metrics (translations, fusions, implied
 	// drops, solver attempts); nil disables instrumentation.
@@ -94,31 +94,23 @@ func cloneCRR(r *CRR) CRR {
 	return out
 }
 
-// Compact implements Algorithm 2 (CRR compaction with inference). It first
-// unifies regression models across rules using Translation — every rule
-// whose model is a (Δ, δ)-translation of an earlier rule's model is
-// rewritten onto that model, composing built-in predicates per
-// Proposition 9 — then merges rules sharing a model with Generalization +
-// Fusion, and finally drops rules implied by surviving rules. The result is
-// semantically equivalent to the input Σ (each rewritten/merged rule is
-// derived by a sound inference) and never larger.
-func Compact(rules *RuleSet) (*RuleSet, CompactStats) {
-	return CompactOpts(rules, CompactOptions{ModelTol: modelTol})
-}
-
-// CompactOpts is Compact with explicit options and no cancellation.
-func CompactOpts(rules *RuleSet, opts CompactOptions) (*RuleSet, CompactStats) {
-	out, stats, _ := CompactCtx(context.Background(), rules, opts)
-	return out, stats
-}
-
-// CompactCtx is Compact with explicit options and cancellation: ctx is
-// checked once per translation pivot and once per fusion candidate, so large
-// rule sets stop compacting within one iteration of cancellation. The error
-// matches both ErrCanceled and the context's own sentinel. On cancellation
-// neither partial output nor partial statistics are returned: the result is
-// nil and the stats are zero, matching the Discover engines' nil-on-cancel
-// contract.
+// CompactCtx implements Algorithm 2 (CRR compaction with inference) and is
+// the one compaction entrypoint; the benchmark (cmd/crrperf) calls it by
+// this name. It first unifies regression models across rules using
+// Translation — every rule whose model is a (Δ, δ)-translation of an earlier
+// rule's model is rewritten onto that model, composing built-in predicates
+// per Proposition 9 — then merges rules sharing a model with Generalization
+// + Fusion, and finally drops rules implied by surviving rules. The result
+// is semantically equivalent to the input Σ (each rewritten/merged rule is
+// derived by a sound inference) and never larger. The zero CompactOptions
+// selects the exact model tolerance.
+//
+// ctx is checked once per translation pivot and once per fusion candidate,
+// so large rule sets stop compacting within one iteration of cancellation.
+// The error matches both ErrCanceled and the context's own sentinel. On
+// cancellation neither partial output nor partial statistics are returned:
+// the result is nil and the stats are zero, matching the Discover engines'
+// nil-on-cancel contract.
 //
 // Output order and CompactStats are invariant under permutation of the
 // input rules: the work set is canonically ordered (by signature, encoded

@@ -10,6 +10,17 @@ import (
 	"github.com/crrlab/crr/internal/regress"
 )
 
+// compactExact runs Algorithm 2 at the exact model tolerance under a context
+// that never cancels, so any error fails t.
+func compactExact(t testing.TB, rs *RuleSet) (*RuleSet, CompactStats) {
+	t.Helper()
+	out, stats, err := CompactCtx(context.Background(), rs, CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, stats
+}
+
 // translationFamily builds n rules over disjoint ranges whose models all
 // share one slope with different intercepts — a single equivalence class
 // under Translation.
@@ -25,7 +36,7 @@ func translationFamily(n int, slope float64) *RuleSet {
 
 func TestCompactMergesTranslationClass(t *testing.T) {
 	rs := translationFamily(5, 2)
-	out, stats := Compact(rs)
+	out, stats := compactExact(t, rs)
 	if out.NumRules() != 1 {
 		t.Fatalf("compacted to %d rules, want 1", out.NumRules())
 	}
@@ -42,7 +53,7 @@ func TestCompactMergesTranslationClass(t *testing.T) {
 
 func TestCompactPreservesPredictions(t *testing.T) {
 	rs := translationFamily(4, 2)
-	out, _ := Compact(rs)
+	out, _ := compactExact(t, rs)
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
 		x := rng.Float64() * 40
@@ -71,7 +82,7 @@ func TestCompactKeepsUnrelatedModels(t *testing.T) {
 		ruleOn(regress.NewLinear(0, 1), 0.5, condRange(0, 10)),
 		ruleOn(regress.NewLinear(0, 2), 0.5, condRange(10, 20)), // different slope
 	)
-	out, stats := Compact(rs)
+	out, stats := compactExact(t, rs)
 	if out.NumRules() != 2 {
 		t.Fatalf("unrelated models merged: %d rules", out.NumRules())
 	}
@@ -87,7 +98,7 @@ func TestCompactGeneralizesRho(t *testing.T) {
 		ruleOn(f, 0.2, condRange(0, 10)),
 		ruleOn(f, 0.7, condRange(10, 20)),
 	)
-	out, _ := Compact(rs)
+	out, _ := compactExact(t, rs)
 	if out.NumRules() != 1 {
 		t.Fatalf("rules = %d, want 1", out.NumRules())
 	}
@@ -110,7 +121,7 @@ func TestCompactDropsImpliedRules(t *testing.T) {
 	// wider rho. Fusion merges it into rule 0's class first, so construct an
 	// un-fusable implied case via distinct signature instead — here we simply
 	// verify the implied counter stays 0 for independent rules.
-	out, stats := Compact(rs)
+	out, stats := compactExact(t, rs)
 	if out.NumRules() != 2 || stats.Implied != 0 {
 		t.Errorf("rules = %d, implied = %d", out.NumRules(), stats.Implied)
 	}
@@ -118,12 +129,12 @@ func TestCompactDropsImpliedRules(t *testing.T) {
 
 func TestCompactEmptyAndSingleton(t *testing.T) {
 	rs := &RuleSet{Schema: lineSchema(), XAttrs: []int{0}, YAttr: 1}
-	out, stats := Compact(rs)
+	out, stats := compactExact(t, rs)
 	if out.NumRules() != 0 || stats != (CompactStats{}) {
 		t.Errorf("empty compaction: %d rules, %+v", out.NumRules(), stats)
 	}
 	rs.Rules = append(rs.Rules, ruleOn(regress.NewLinear(0, 1), 0.5, condRange(0, 10)))
-	out, _ = Compact(rs)
+	out, _ = compactExact(t, rs)
 	if out.NumRules() != 1 {
 		t.Errorf("singleton compaction: %d rules", out.NumRules())
 	}
@@ -135,13 +146,13 @@ func TestCompactDoesNotMutateInput(t *testing.T) {
 	for i, r := range rs.Rules {
 		before[i] = r.Model.(*regress.Linear).W[0]
 	}
-	Compact(rs)
+	compactExact(t, rs)
 	for i, r := range rs.Rules {
 		if r.Model.(*regress.Linear).W[0] != before[i] {
-			t.Fatal("Compact mutated input rules")
+			t.Fatal("CompactCtx mutated input rules")
 		}
 		if len(r.Cond.Conjs) != 1 {
-			t.Fatal("Compact mutated input conditions")
+			t.Fatal("CompactCtx mutated input conditions")
 		}
 	}
 }
@@ -156,7 +167,7 @@ func TestCompactChainedTranslationsProposition9(t *testing.T) {
 		ruleOn(regress.NewLinear(10, 1), 0.5, condRange(10, 20)),
 		ruleOn(regress.NewLinear(25, 1), 0.5, condRange(20, 30)),
 	)
-	out, _ := Compact(rs)
+	out, _ := compactExact(t, rs)
 	if out.NumRules() != 1 {
 		t.Fatalf("rules = %d, want 1", out.NumRules())
 	}
@@ -186,7 +197,7 @@ func TestCompactPreservesSemanticsProperty(t *testing.T) {
 		// One unrelated rule.
 		rs.Rules = append(rs.Rules, ruleOn(
 			regress.NewLinear(0, slope+1+rng.Float64()), 0.5, condRange(100, 120)))
-		out, _ := Compact(rs)
+		out, _ := compactExact(t, rs)
 		if out.NumRules() > rs.NumRules() {
 			return false
 		}
@@ -215,7 +226,7 @@ func TestCompactAfterDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := Compact(res.Rules)
+	out, _ := compactExact(t, res.Rules)
 	if out.NumRules() > res.Rules.NumRules() {
 		t.Error("compaction grew the rule set")
 	}

@@ -38,7 +38,7 @@ func TestCoveringMatchesLinearScan(t *testing.T) {
 	salary := rel.Schema.MustIndex("Salary")
 	tax := rel.Schema.MustIndex("Tax")
 	res, err := Discover(context.Background(), rel,
-		WithSignature([]int{salary}, tax), WithMaxBias(60))
+		WithConfig(DiscoverConfig{XAttrs: []int{salary}, YAttr: tax, RhoM: 60}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCoveringRecyclesBuffer(t *testing.T) {
 	salary := rel.Schema.MustIndex("Salary")
 	tax := rel.Schema.MustIndex("Tax")
 	res, err := Discover(context.Background(), rel,
-		WithSignature([]int{salary}, tax), WithMaxBias(60))
+		WithConfig(DiscoverConfig{XAttrs: []int{salary}, YAttr: tax, RhoM: 60}))
 	if err != nil {
 		t.Fatal(err)
 	}

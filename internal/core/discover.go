@@ -45,9 +45,9 @@ func (o QueueOrder) String() string {
 	}
 }
 
-// DiscoverConfig parameterizes Algorithm 1. Zero values select sane
-// defaults through Validate; the options API (Discover with
-// DiscoverOption values) is the preferred way to build one.
+// DiscoverConfig parameterizes Algorithm 1 and is the one way to configure
+// discovery: Discover and DiscoverColumns take it through WithConfig. Zero
+// values select sane defaults (see Discover and Validate).
 type DiscoverConfig struct {
 	// XAttrs and YAttr define the regression signature f : X → Y. YAttr must
 	// be numeric and must not appear in XAttrs (Reflexivity, Proposition 1).
@@ -59,7 +59,7 @@ type DiscoverConfig struct {
 	// (Definition 1).
 	Preds []predicate.Predicate
 	// Trainer fits new models when no existing model can be shared; nil
-	// selects OLS (family F1) under the options API.
+	// selects OLS (family F1).
 	Trainer regress.Trainer
 	// Order is the ind(C) queue ordering; Decrease is the paper's default.
 	Order QueueOrder
@@ -130,17 +130,16 @@ const prop8MaxGroups = 3
 // stop within one queue iteration and return an error matching both
 // ErrCanceled and the context's own sentinel.
 //
-// The configuration is assembled from functional options over sane
-// defaults: OLS trainer, ρ_M = DefaultMaxBias, a paper-default predicate
-// space generated over the X attributes plus every categorical attribute,
-// and one worker. WithWorkers(n > 1) runs n workers over the same queue;
-// WithTelemetry attaches hot-path metrics.
+// The configuration is the DiscoverConfig passed with WithConfig; the
+// variadic form stays because the benchmark (cmd/crrperf) calls it. Zero
+// fields select sane defaults: OLS trainer, ρ_M = DefaultMaxBias, a
+// paper-default predicate space generated over the X attributes plus every
+// categorical attribute, and one worker. Workers > 1 runs that many workers
+// over the same queue; Telemetry attaches hot-path metrics.
 //
-//	res, err := core.Discover(ctx, rel,
-//	    core.WithSignature([]int{salary}, tax),
-//	    core.WithMaxBias(60),
-//	    core.WithWorkers(4),
-//	    core.WithTelemetry(reg))
+//	res, err := core.Discover(ctx, rel, core.WithConfig(core.DiscoverConfig{
+//	    XAttrs: []int{salary}, YAttr: tax, RhoM: 60, Workers: 4, Telemetry: reg,
+//	}))
 func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption) (*DiscoverResult, error) {
 	var cfg DiscoverConfig
 	for _, opt := range opts {
@@ -159,9 +158,10 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 // DiscoverColumns mines conditional regression rules directly over a
 // columnar substrate — the entrypoint for out-of-core discovery, where the
 // ColumnSet is the adopted view of an mmap'd store (colstore.Store.Columns)
-// and no Relation ever exists in memory. It accepts the same options as
-// Discover and is exactly equivalent to it: Discover builds a ColumnSet from
-// its relation and runs the same columnar engine over it.
+// and no Relation ever exists in memory. It takes the same configuration,
+// in the same variadic form, as Discover and is exactly equivalent to it:
+// Discover builds a ColumnSet from its relation and runs the same columnar
+// engine over it.
 func DiscoverColumns(ctx context.Context, cols *dataset.ColumnSet, opts ...DiscoverOption) (*DiscoverResult, error) {
 	var cfg DiscoverConfig
 	for _, opt := range opts {
@@ -182,12 +182,12 @@ func buildColumns(rel *dataset.Relation, reg *telemetry.Registry) *dataset.Colum
 	return cols
 }
 
-// applyDefaults fills cfg's open slots against the run's columns the way the
-// options API promises — the paper-default predicate space over the X
+// applyDefaults fills cfg's open slots against the run's columns the way
+// Discover promises — the paper-default predicate space over the X
 // attributes plus every categorical attribute when ℙ is unset, then
 // Validate's trainer and ρ_M defaulting — and rejects empty (or nil) inputs.
-// Both options entrypoints (Discover, DiscoverColumns) share it, so they
-// accept the same minimal configurations.
+// Both entrypoints (Discover, DiscoverColumns) share it, so they accept the
+// same minimal configurations.
 func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
 	if cols == nil || cols.Len() == 0 {
 		return ErrEmptyRelation

@@ -84,8 +84,8 @@ func TestCompactIdempotentProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		once, _ := Compact(res.Rules)
-		twice, _ := Compact(once)
+		once, _ := compactExact(t, res.Rules)
+		twice, _ := compactExact(t, once)
 		if twice.NumRules() != once.NumRules() {
 			return false
 		}

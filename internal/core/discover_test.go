@@ -352,14 +352,21 @@ func (s *splitProbe) Induce(_ context.Context, sub *Substrate) (*DiscoverResult,
 	return sub.NewResult(), nil
 }
 
+// run discovers over rel with cfg and s as its strategy.
+func (s *splitProbe) run(t *testing.T, rel *dataset.Relation, cfg DiscoverConfig) {
+	t.Helper()
+	cfg.Strategy = s
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTopSplitsEmptyPart: an empty part has no split, so TopSplits returns
 // nil.
 func TestTopSplitsEmptyPart(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 7)
 	s := &splitProbe{k: 1, parts: [][]int{nil}}
-	if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
-		t.Fatal(err)
-	}
+	s.run(t, rel, discoverCfg(rel, 0.5))
 	if s.groups != nil {
 		t.Fatalf("TopSplits(nil) = %v, want nil", s.groups)
 	}
@@ -371,9 +378,7 @@ func TestTopSplitsNonPositiveK(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 7)
 	for _, k := range []int{0, -1} {
 		s := &splitProbe{k: k}
-		if _, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)), WithStrategy(s)); err != nil {
-			t.Fatal(err)
-		}
+		s.run(t, rel, discoverCfg(rel, 0.5))
 		if s.groups != nil {
 			t.Fatalf("TopSplits(rows, %d) = %v, want nil", k, s.groups)
 		}
@@ -413,9 +418,7 @@ func TestTopSplitsTiedGains(t *testing.T) {
 	}{{0, 1}, {0, 3}, {1, 1}, {1, 3}}
 	for k := 1; k <= 5; k++ {
 		s := &splitProbe{k: k}
-		if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithStrategy(s)); err != nil {
-			t.Fatal(err)
-		}
+		s.run(t, rel, cfg)
 		if n := min(k, len(want)); len(s.groups) != n {
 			t.Fatalf("k=%d: %d groups, want %d", k, len(s.groups), n)
 		}
@@ -477,9 +480,7 @@ func TestTopSplitsClearsBucketsOnEarlyStop(t *testing.T) {
 			}
 			probe := func(parts ...[]int) [][]SplitChild {
 				s := &splitProbe{k: 5, parts: parts}
-				if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithStrategy(s)); err != nil {
-					t.Fatal(err)
-				}
+				s.run(t, rel, cfg)
 				return s.groups
 			}
 			if g := probe(dirty); g != nil {

@@ -17,11 +17,11 @@ var (
 	ErrPredicateOnTarget = errors.New("core: predicate space mentions the target attribute")
 	// ErrNonNumericTarget reports a categorical regression target.
 	ErrNonNumericTarget = errors.New("core: regression target must be numeric")
-	// ErrEmptyRelation reports a relation with no tuples; the options-API
-	// Discover refuses it rather than returning a vacuous rule set.
+	// ErrEmptyRelation reports a relation with no tuples; Discover refuses
+	// it rather than returning a vacuous rule set.
 	ErrEmptyRelation = errors.New("core: relation has no tuples")
-	// ErrNoPredicates reports an explicitly empty predicate space on the
-	// options-API Discover (omit WithPredicates to auto-generate ℙ instead).
+	// ErrNoPredicates reports an explicitly empty (non-nil) predicate space
+	// (leave DiscoverConfig.Preds nil to auto-generate ℙ instead).
 	ErrNoPredicates = errors.New("core: empty predicate space")
 	// ErrCanceled reports a discovery or compaction run cut short by context
 	// cancellation or deadline. It wraps the context's own error, so

@@ -26,11 +26,12 @@ func ExampleDiscover() {
 		}
 		rel.MustAppend(dataset.Tuple{dataset.Num(x), dataset.Num(y)})
 	}
-	res, err := core.Discover(context.Background(), rel,
-		core.WithSignature([]int{0}, 1),
-		core.WithMaxBias(0.5),
-		core.WithTrainer(regress.LinearTrainer{}),
-	)
+	res, err := core.Discover(context.Background(), rel, core.WithConfig(core.DiscoverConfig{
+		XAttrs:  []int{0},
+		YAttr:   1,
+		RhoM:    0.5,
+		Trainer: regress.LinearTrainer{},
+	}))
 	if err != nil {
 		panic(err)
 	}
@@ -71,9 +72,9 @@ func ExampleTranslate() {
 	// δ for IA: -230
 }
 
-// ExampleCompact shows Algorithm 2 merging three rules whose models share a
-// slope into a single DNF rule.
-func ExampleCompact() {
+// ExampleCompactCtx shows Algorithm 2 merging three rules whose models share
+// a slope into a single DNF rule.
+func ExampleCompactCtx() {
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "X", Kind: dataset.Numeric},
 		dataset.Attribute{Name: "Y", Kind: dataset.Numeric},
@@ -92,7 +93,10 @@ func ExampleCompact() {
 			{Model: regress.NewLinear(70, 2), Rho: 0.5, Cond: window(20, 30), XAttrs: []int{0}, YAttr: 1},
 		},
 	}
-	compacted, stats := core.Compact(rs)
+	compacted, stats, err := core.CompactCtx(context.Background(), rs, core.CompactOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("rules:", compacted.NumRules())
 	fmt.Println("translations:", stats.Translations)
 	fmt.Println("fusions:", stats.Fusions)

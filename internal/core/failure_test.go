@@ -57,7 +57,8 @@ func TestDiscoverParallelPropagatesTrainerError(t *testing.T) {
 	rel := piecewiseRelation(600, 0.2, 33)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.Trainer = &failingTrainer{inner: regress.LinearTrainer{}, failAfter: 0}
-	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); !errors.Is(err, errInjected) {
+	cfg.Workers = 4
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, errInjected) {
 		t.Fatalf("parallel err = %v, want the injected failure", err)
 	}
 }

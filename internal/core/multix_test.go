@@ -91,7 +91,7 @@ func TestDiscoverMultiFeatureCompactionAndCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, _ := Compact(res.Rules)
+	compacted, _ := compactExact(t, res.Rules)
 	d := CompareOn(rel, res.Rules, compacted, 1e-9)
 	if !d.Equivalent() {
 		t.Errorf("multi-feature compaction not equivalent: %+v", d)

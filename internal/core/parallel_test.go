@@ -9,7 +9,9 @@ import (
 func TestDiscoverParallelInvariants(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
+	par := cfg
+	par.Workers = 4
+	res, err := Discover(context.Background(), rel, WithConfig(par))
 	if err != nil {
 		t.Fatalf("parallel Discover: %v", err)
 	}
@@ -34,7 +36,9 @@ func TestDiscoverParallelInvariants(t *testing.T) {
 func TestDiscoverParallelOneWorkerIsSequential(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 2)
 	cfg := discoverCfg(rel, 0.5)
-	par, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(1))
+	one := cfg
+	one.Workers = 1
+	par, err := Discover(context.Background(), rel, WithConfig(one))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,8 @@ func TestDiscoverParallelFuseShared(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 3)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.FuseShared = true
-	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
+	cfg.Workers = 4
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +76,17 @@ func TestDiscoverParallelValidation(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 4)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.XAttrs = []int{1}
-	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err == nil {
+	cfg.Workers = 4
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); err == nil {
 		t.Error("Y ∈ X accepted")
 	}
 }
 
 func TestDiscoverParallelEmpty(t *testing.T) {
 	rel := piecewiseRelation(0, 0.2, 5)
-	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: discoverCfg(piecewiseRelation(10, 0.1, 5), 0.5).Trainer}
-	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); !errors.Is(err, ErrEmptyRelation) {
+	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 1, Workers: 4,
+		Trainer: discoverCfg(piecewiseRelation(10, 0.1, 5), 0.5).Trainer}
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg)); !errors.Is(err, ErrEmptyRelation) {
 		t.Errorf("empty parallel err = %v, want ErrEmptyRelation", err)
 	}
 }
@@ -88,8 +95,9 @@ func TestDiscoverParallelManyWorkersRace(t *testing.T) {
 	// Stress the pool with more workers than work; run with -race in CI.
 	rel := piecewiseRelation(600, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
+	cfg.Workers = 16
 	for trial := 0; trial < 3; trial++ {
-		res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(16))
+		res, err := Discover(context.Background(), rel, WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,8 +41,8 @@ type PruneStats struct {
 // Rules with multi-conjunction conditions, distinct categorical contexts or
 // non-adjacent windows, and windows no merge absorbs, pass through
 // unchanged (a forced rule published above ρ_M included). Run it on
-// Algorithm 1's output (before Compact) — compaction reorganizes conditions
-// into DNFs that no longer expose adjacency.
+// Algorithm 1's output (before CompactCtx) — compaction reorganizes
+// conditions into DNFs that no longer expose adjacency.
 func Prune(cols *dataset.ColumnSet, s *RuleSet, opts PruneOptions) (*RuleSet, PruneStats, error) {
 	cfg := DiscoverConfig{XAttrs: s.XAttrs, YAttr: s.YAttr, RhoM: opts.RhoM, Trainer: opts.Trainer}
 	if err := cfg.Validate(); err != nil {

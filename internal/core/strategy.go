@@ -185,26 +185,6 @@ func (s *Substrate) MaxAbsError(m regress.Model, idxs []int) float64 {
 	return ws.scanner.MaxAbs(m, ws.part(idxs))
 }
 
-// GramOf accumulates the part's sufficient statistics in row order, or nil
-// when the configured trainer has no Gram fast path.
-func (s *Substrate) GramOf(idxs []int) *regress.Gram {
-	hl := s.hot()
-	if hl.gram == nil {
-		return nil
-	}
-	return hl.gramOf(idxs)
-}
-
-// ShareScan runs the single-pass Proposition-6 share scan of the model pool
-// over the selected rows: the index of the first (newest-first) model whose
-// δ0-shifted residual envelope fits within ρ_M (−1 for none), the share
-// result for that model, and the sharing index ind(C).
-func (s *Substrate) ShareScan(pool []regress.Model, idxs []int) (int, regress.ShareResult, float64) {
-	ws := s.workspace()
-	hit, res, ind, _ := ws.scanner.Scan(pool, ws.part(idxs), s.cfg.RhoM)
-	return hit, res, ind
-}
-
 func (s *Substrate) splitIdx() *splitIndex {
 	if s.si == nil {
 		s.si = newSplitIndex(s.cfg.Preds, s.cols)

@@ -51,7 +51,7 @@ func TestCompareOnEquivalentAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, _ := Compact(res.Rules)
+	compacted, _ := compactExact(t, res.Rules)
 	d := CompareOn(rel, res.Rules, compacted, 1e-9)
 	if !d.Equivalent() {
 		t.Errorf("compaction not equivalent: %+v", d)

@@ -132,7 +132,7 @@ func TestMergeWindowsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, _ := Compact(res.Rules)
+	compacted, _ := compactExact(t, res.Rules)
 	merged := MergeWindows(compacted, 0.05)
 	totalWindows := 0
 	for i := range merged.Rules {

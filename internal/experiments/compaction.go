@@ -49,9 +49,13 @@ func Fig9RuleCompaction(ctx context.Context, scale float64) ([]Row, error) {
 
 			leafRules := tree.ToRuleSet(train)
 			var compacted *core.RuleSet
+			var err error
 			compactTime := eval.Timed(func() {
-				compacted, _ = core.CompactOpts(leafRules, core.CompactOptions{ModelTol: spec.CompactTol})
+				compacted, _, err = core.CompactCtx(ctx, leafRules, core.CompactOptions{ModelTol: spec.CompactTol})
 			})
+			if err != nil {
+				return nil, err
+			}
 			rows = append(rows, Row{
 				Experiment: "fig9", Dataset: spec.Name,
 				Method: "RegTree+Compact-" + fam.Tag, Param: "family", Learn: learn + compactTime,
@@ -91,7 +95,10 @@ func Fig10Imputation(ctx context.Context, scale float64) ([]Row, error) {
 				return nil, err
 			}
 			leafRules := tree.ToRuleSet(masked)
-			compacted, _ := core.CompactOpts(leafRules, core.CompactOptions{ModelTol: spec.CompactTol})
+			compacted, _, err := core.CompactCtx(ctx, leafRules, core.CompactOptions{ModelTol: spec.CompactTol})
+			if err != nil {
+				return nil, err
+			}
 
 			for _, variant := range []struct {
 				name  string

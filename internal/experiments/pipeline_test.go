@@ -44,7 +44,10 @@ func TestFullPipelinePerDataset(t *testing.T) {
 				t.Fatal("discovered rules violated on training data")
 			}
 
-			compacted, _ := core.CompactOpts(res.Rules, core.CompactOptions{ModelTol: spec.CompactTol})
+			compacted, _, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{ModelTol: spec.CompactTol})
+			if err != nil {
+				t.Fatalf("compact: %v", err)
+			}
 			if compacted.NumRules() > res.Rules.NumRules() {
 				t.Error("compaction grew the rule set")
 			}
@@ -89,7 +92,7 @@ func TestFullPipelinePerDataset(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialQuality cross-checks four discovery workers
-// (WithWorkers) against one on two dataset stand-ins.
+// (DiscoverConfig.Workers) against one on two dataset stand-ins.
 func TestParallelMatchesSequentialQuality(t *testing.T) {
 	for _, spec := range []DatasetSpec{ElectricitySpec(), TaxSpec()} {
 		rel := spec.Gen(2000)
@@ -102,7 +105,8 @@ func TestParallelMatchesSequentialQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.Discover(context.Background(), rel, core.WithConfig(cfg), core.WithWorkers(4))
+		cfg.Workers = 4
+		par, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

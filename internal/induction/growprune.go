@@ -30,34 +30,31 @@ import (
 // yet covered by an emitted rule seeds a candidate whose condition starts at
 // ⊤ and is grown one SSE-best predicate at a time — always descending into
 // the split child containing the seed — until the refit satisfies the ρ_M
-// bound, the part reaches the MinSupport floor, or no split applies. A
-// backward pass then prunes predicates whose removal keeps the (refit) bound
-// satisfied, so rules don't carry conditions that never paid for themselves.
+// bound, the part reaches the MinSupport floor, the conjunction holds
+// maxPreds predicates, or no split applies. A backward pass then prunes
+// predicates whose removal keeps the (refit) bound satisfied, so rules don't
+// carry conditions that never paid for themselves.
 //
 // Like the lattice walk, GrowPrune covers every trainable row (each seed
 // ends up inside its own rule's selection), trains through the Gram fast
 // path, and publishes ρ as the model's actual maximum residual on the rule's
 // selection. Unlike the lattice walk it never shares models and its rules
 // may overlap. Deterministic for a fixed configuration.
-type GrowPrune struct {
-	// MaxPreds caps the grown conjunction length; 0 means 8.
-	MaxPreds int
-}
+type GrowPrune struct{}
+
+// maxPreds caps the grown conjunction length.
+const maxPreds = 8
 
 // Name implements core.Strategy.
 func (GrowPrune) Name() string { return "growprune" }
 
 // Induce implements core.Strategy.
-func (g GrowPrune) Induce(ctx context.Context, sub *core.Substrate) (*core.DiscoverResult, error) {
+func (GrowPrune) Induce(ctx context.Context, sub *core.Substrate) (*core.DiscoverResult, error) {
 	cfg := sub.Config()
 	out := sub.NewResult()
 	all := sub.TrainableRows()
 	if len(all) == 0 {
 		return out, nil
-	}
-	maxPreds := g.MaxPreds
-	if maxPreds <= 0 {
-		maxPreds = 8
 	}
 	grown := cfg.Telemetry.Counter(telemetry.MetricInductionCandidatesGrown)
 	prunedC := cfg.Telemetry.Counter(telemetry.MetricInductionRulesPruned)

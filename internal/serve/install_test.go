@@ -24,9 +24,9 @@ func TestInstallGenerationSemantics(t *testing.T) {
 	if g0 == 0 {
 		t.Fatal("construction install left generation 0")
 	}
-	g1, err := srv.Install(rules, "push-1")
+	g1, err := srv.InstallTenant(DefaultTenant, rules, "push-1")
 	if err != nil || g1 != g0+1 {
-		t.Fatalf("Install: gen %d err %v, want %d", g1, err, g0+1)
+		t.Fatalf("InstallTenant: gen %d err %v, want %d", g1, err, g0+1)
 	}
 	if got := srv.Generation(); got != g1 {
 		t.Fatalf("Generation() = %d after install to %d", got, g1)
@@ -41,7 +41,7 @@ func TestInstallGenerationSemantics(t *testing.T) {
 	if err != nil || !ok || g2 != g1+1 {
 		t.Fatalf("fresh CAS: (%d,%v,%v), want (%d,true,nil)", g2, ok, err, g1+1)
 	}
-	if _, err := srv.Install(nil, "nil"); err == nil {
+	if _, err := srv.InstallTenant(DefaultTenant, nil, "nil"); err == nil {
 		t.Fatal("nil rule set accepted")
 	}
 	if _, _, err := srv.InstallIfGeneration(&core.RuleSet{}, "bare", g2); err == nil {
@@ -50,11 +50,11 @@ func TestInstallGenerationSemantics(t *testing.T) {
 }
 
 // TestInstallReloadPredictRace is the hot-reload race hammer of the bugfix
-// sweep: operator reloads (ReloadFrom), maintainer pushes (Install), CAS
-// retry loops (InstallIfGeneration) and predict traffic all run concurrently
-// under -race. Beyond being race-clean, every successful swap must account
-// for exactly one generation tick — the lost-update symptom this API fixes is
-// two writers both believing their artifact won.
+// sweep: operator reloads (ReloadTenantFrom), maintainer pushes
+// (InstallTenant), CAS retry loops (InstallIfGeneration) and predict traffic
+// all run concurrently under -race. Beyond being race-clean, every successful
+// swap must account for exactly one generation tick — the lost-update symptom
+// this API fixes is two writers both believing their artifact won.
 func TestInstallReloadPredictRace(t *testing.T) {
 	rel, rules := taxRules(t, 400)
 	var blob bytes.Buffer
@@ -82,7 +82,7 @@ func TestInstallReloadPredictRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(deadline) {
-			if err := srv.ReloadFrom(bytes.NewReader(blob.Bytes()), "operator"); err != nil {
+			if err := srv.ReloadTenantFrom(DefaultTenant, bytes.NewReader(blob.Bytes()), "operator"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -93,7 +93,7 @@ func TestInstallReloadPredictRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(deadline) {
-			if _, err := srv.Install(parse(), "maintainer"); err != nil {
+			if _, err := srv.InstallTenant(DefaultTenant, parse(), "maintainer"); err != nil {
 				t.Error(err)
 				return
 			}

@@ -24,7 +24,7 @@
 // X-CRR-Tenant header or a /t/{tenant}/... path prefix, and each tenant has
 // an independently hot-swappable artifact. Requests that name no tenant hit
 // DefaultTenant, which is where the pre-tenant single-artifact API (New,
-// Install, Reload) lives — single-tenant deployments are unchanged.
+// Reload, Generation) lives — single-tenant deployments are unchanged.
 //
 // Production behaviors are part of the contract, not extras: every data-plane
 // request runs under a per-request context deadline; a configurable in-flight
@@ -264,25 +264,18 @@ func (s *Server) artifactNow() *artifact {
 }
 
 // Generation returns the generation of the DefaultTenant's currently served
-// artifact. Every successful install (construction, reload, Install,
+// artifact. Every successful install (construction, reload, InstallTenant,
 // InstallIfGeneration) bumps it; it never moves backwards.
 func (s *Server) Generation() uint64 { return s.TenantGeneration(DefaultTenant) }
 
-// Install swaps rules in as the served artifact unconditionally, serialized
-// with reloads, and returns the new generation. This is the in-process
-// counterpart of POST /v1/reload for embedders that already hold a rule set —
-// the stream maintainer's hot-swap path.
-func (s *Server) Install(rules *core.RuleSet, source string) (uint64, error) {
-	return s.InstallTenant(DefaultTenant, rules, source)
-}
-
 // InstallIfGeneration swaps rules in only when the served artifact still has
 // generation ifGen, returning the resulting current generation and whether
-// the swap happened. This is the compare-and-swap form of Install: a writer
-// that derived its rule set from generation G passes ifGen=G, and a
-// concurrent operator reload (which bumped the generation) makes the stale
-// swap a no-op instead of silently reverting the operator's artifact. On
-// failure the caller re-derives from the returned generation and retries.
+// the swap happened. This is the compare-and-swap form of InstallTenant for
+// the DefaultTenant: a writer that derived its rule set from generation G
+// passes ifGen=G, and a concurrent operator reload (which bumped the
+// generation) makes the stale swap a no-op instead of silently reverting the
+// operator's artifact. On failure the caller re-derives from the returned
+// generation and retries.
 func (s *Server) InstallIfGeneration(rules *core.RuleSet, source string, ifGen uint64) (uint64, bool, error) {
 	if rules == nil || rules.Schema == nil {
 		return 0, false, errors.New("serve: rule set must carry a schema (payloads are validated by attribute name)")
@@ -315,14 +308,9 @@ func (s *Server) Reload() error {
 	return s.reloadFrom(DefaultTenant, f, s.cfg.RulesPath)
 }
 
-// ReloadFrom parses a rule-set artifact from r and swaps it in as the
-// DefaultTenant's artifact (the body form of POST /v1/reload). The caller
-// holds no lock; reloads serialize on the server's reload mutex.
-func (s *Server) ReloadFrom(r io.Reader, source string) error {
-	return s.ReloadTenantFrom(DefaultTenant, r, source)
-}
-
-// ReloadTenantFrom is ReloadFrom for an explicit tenant.
+// ReloadTenantFrom parses a rule-set artifact from r and swaps it in as
+// tenant's artifact (the body form of POST /v1/reload). The caller holds no
+// lock; reloads serialize on the server's reload mutex.
 func (s *Server) ReloadTenantFrom(tenant string, r io.Reader, source string) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()

@@ -16,8 +16,8 @@ import (
 )
 
 // Multi-tenant serving. A Server holds one independently swappable artifact
-// per tenant; the pre-tenant API (New, Install, Reload, /v1/predict without
-// a tenant) operates on the DefaultTenant, so single-tenant deployments keep
+// per tenant; the pre-tenant API (New, Reload, /v1/predict without a
+// tenant) operates on the DefaultTenant, so single-tenant deployments keep
 // working unchanged. Requests address a tenant through the X-CRR-Tenant
 // header or a /t/{tenant}/... path prefix (rewritten to the header form by
 // the root handler, so the router can forward bodies untouched either way).
@@ -116,8 +116,10 @@ func (s *Server) rootHandler() http.Handler {
 	})
 }
 
-// InstallTenant swaps rules in as tenant's served artifact and returns the
-// tenant's new generation. The DefaultTenant form is Install.
+// InstallTenant swaps rules in as tenant's served artifact unconditionally,
+// serialized with reloads, and returns the tenant's new generation. This is
+// the in-process counterpart of POST /v1/reload for embedders that already
+// hold a rule set.
 func (s *Server) InstallTenant(tenant string, rules *core.RuleSet, source string) (uint64, error) {
 	if rules == nil || rules.Schema == nil {
 		return 0, errors.New("serve: rule set must carry a schema (payloads are validated by attribute name)")

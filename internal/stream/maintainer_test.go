@@ -187,7 +187,10 @@ func TestMaintainerKeepsStationaryTaxRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rules, _ := core.Compact(res.Rules)
+		rules, _, err := core.CompactCtx(context.Background(), res.Rules, core.CompactOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rules.NumRules() != 4 {
 			t.Fatalf("seed %d: compacted artifact has %d rules, want 4", seed, rules.NumRules())
 		}

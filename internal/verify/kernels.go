@@ -38,7 +38,8 @@ const kernelTopSplits = 3
 // node and its condition.
 func KernelsVsTuples(ctx context.Context, rel *dataset.Relation, cfg core.DiscoverConfig) (string, error) {
 	k := &kernelWalk{rel: rel}
-	if _, err := core.Discover(ctx, rel, core.WithConfig(cfg), core.WithStrategy(k)); err != nil {
+	cfg.Strategy = k
+	if _, err := core.Discover(ctx, rel, core.WithConfig(cfg)); err != nil {
 		return "", err
 	}
 	return k.detail, nil

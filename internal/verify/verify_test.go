@@ -196,8 +196,9 @@ func TestKernelOracleCatchesLaneDrift(t *testing.T) {
 	drift.Tuples[6] = dataset.Tuple{dataset.Num(6), dataset.Num(math.Nextafter(36, 0))}
 	k := &kernelWalk{rel: drift}
 	preds := predicate.Generate(rel, []int{0}, predicate.GeneratorConfig{Kind: predicate.Binary})
-	if _, err := core.Discover(context.Background(), rel, core.WithSignature([]int{0}, 1),
-		core.WithPredicates(preds), core.WithStrategy(k)); err != nil {
+	if _, err := core.Discover(context.Background(), rel, core.WithConfig(core.DiscoverConfig{
+		XAttrs: []int{0}, YAttr: 1, Preds: preds, Strategy: k,
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(k.detail, "attr 1 row 6") {
