@@ -24,7 +24,7 @@ race:
 race-core:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/... ./internal/induction/... ./internal/colstore/... ./internal/telemetry/... ./internal/experiments/... ./internal/serve/... ./internal/stream/... ./internal/registry/... ./internal/cluster/... ./internal/router/...
-	$(GO) test -race -count=10 -timeout 5m -run 'Parallel|Cancel|TrainerError|MaxNodes|Prop8' ./internal/core/
+	$(GO) test -race -count=10 -timeout 5m -run 'Parallel|Cancel|TrainerError' ./internal/core/
 
 # Serve a discovered artifact over HTTP (see docs/TUTORIAL.md §7):
 #   make serve RULES=rules.json [ADDR=:8080]

@@ -122,13 +122,14 @@ func ParseNodeSpec(s string) (NodeSpec, error) {
 	return NodeSpec{Name: name, URL: url}, nil
 }
 
+// probeTimeout bounds one /healthz probe round trip.
+const probeTimeout = time.Second
+
 // TrackerConfig parameterizes a Tracker; zero values take the documented
 // defaults.
 type TrackerConfig struct {
 	// ProbeInterval is the periodic /healthz cadence of Run. Default 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip. Default 1s.
-	ProbeTimeout time.Duration
 	// FailThreshold is the consecutive probe failures that mark a node down.
 	// Default 2 (one blip does not reshard the fleet).
 	FailThreshold int
@@ -136,8 +137,6 @@ type TrackerConfig struct {
 	VNodes int
 	// Replicas is the failover depth published in the shard map. Default 2.
 	Replicas int
-	// HTTPClient performs the probes. Default: a dedicated client.
-	HTTPClient *http.Client
 	// Registry receives cluster.nodes_up / cluster.ring_rebuilds.
 	Registry *telemetry.Registry
 	// Logf, when set, receives one line per state transition.
@@ -174,9 +173,6 @@ func NewTracker(specs []NodeSpec, cfg TrackerConfig) (*Tracker, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 2
 	}
@@ -186,13 +182,9 @@ func NewTracker(specs []NodeSpec, cfg TrackerConfig) (*Tracker, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{Timeout: cfg.ProbeTimeout}
-	}
 	t := &Tracker{
 		cfg:         cfg,
-		httpc:       httpc,
+		httpc:       &http.Client{Timeout: probeTimeout},
 		version:     1,
 		gaugeUp:     cfg.Registry.Gauge(telemetry.MetricClusterNodesUp),
 		ctrRebuilds: cfg.Registry.Counter(telemetry.MetricClusterRingRebuilds),
@@ -372,7 +364,7 @@ type probeResult struct {
 }
 
 func (t *Tracker) probe(ctx context.Context, n NodeInfo) probeResult {
-	ctx, cancel := context.WithTimeout(ctx, t.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/healthz", nil)
 	if err != nil {

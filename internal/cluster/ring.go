@@ -1,9 +1,8 @@
 // Package cluster holds the sharding plane of the rule-serving fleet: a
 // consistent-hash ring mapping tenant keys onto serve nodes (virtual nodes
-// for balance, a bounded-load variant for hot-key protection), a versioned
-// shard-map document routers and SDK clients exchange, and a liveness
-// tracker that probes each node's /healthz and rebuilds the ring as nodes
-// come up, drain, or die.
+// for balance), a versioned shard-map document routers and SDK clients
+// exchange, and a liveness tracker that probes each node's /healthz and
+// rebuilds the ring as nodes come up, drain, or die.
 package cluster
 
 import (
@@ -135,43 +134,4 @@ func (r *Ring) Primary(key string) string {
 		return ""
 	}
 	return owners[0]
-}
-
-// LookupBounded is the bounded-load variant (consistent hashing with
-// bounded loads): it walks the ring from the key's position and returns the
-// first node whose current load, as reported by load, is below bound. When
-// every node is at the bound the plain primary is returned, so the bound
-// degrades to ordinary consistent hashing instead of failing. load is
-// typically the router's per-node in-flight count and bound
-// ceil(c · total/nodes) for some c > 1.
-func (r *Ring) LookupBounded(key string, load func(node string) int, bound int) string {
-	if len(r.nodes) == 0 {
-		return ""
-	}
-	for _, n := range r.Lookup(key, 0) {
-		if load(n) < bound {
-			return n
-		}
-	}
-	return r.Primary(key)
-}
-
-// LoadBound computes the bounded-load capacity ceil(c · keys / nodes) for a
-// ring of this size; c ≤ 1 is lifted to the canonical 1.25.
-func (r *Ring) LoadBound(keys int, c float64) int {
-	if len(r.nodes) == 0 {
-		return 0
-	}
-	if c <= 1 {
-		c = 1.25
-	}
-	per := c * float64(keys) / float64(len(r.nodes))
-	b := int(per)
-	if per > float64(b) {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
 }

@@ -103,44 +103,6 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingBoundedLoad drives the bounded-load variant with a live load table
-// and asserts no node exceeds the ceil(c·K/N) bound while every key still
-// lands somewhere.
-func TestRingBoundedLoad(t *testing.T) {
-	nodes := []string{"n1", "n2", "n3", "n4"}
-	r := ringT(t, nodes)
-	const keys = 1000
-	bound := r.LoadBound(keys, 1.25)
-	load := map[string]int{}
-	for _, key := range tenantKeys(keys) {
-		n := r.LookupBounded(key, func(n string) int { return load[n] }, bound)
-		if n == "" {
-			t.Fatalf("key %q unassigned", key)
-		}
-		load[n]++
-	}
-	total := 0
-	for n, c := range load {
-		total += c
-		if c > bound {
-			t.Fatalf("node %s load %d exceeds bound %d", n, c, bound)
-		}
-	}
-	if total != keys {
-		t.Fatalf("assigned %d of %d keys", total, keys)
-	}
-}
-
-// TestRingBoundedLoadSaturated: when every node sits at the bound, the
-// variant degrades to plain consistent hashing instead of failing.
-func TestRingBoundedLoadSaturated(t *testing.T) {
-	r := ringT(t, []string{"n1", "n2"})
-	got := r.LookupBounded("tenant-a", func(string) int { return 100 }, 10)
-	if got != r.Primary("tenant-a") {
-		t.Fatalf("saturated lookup %q, want primary %q", got, r.Primary("tenant-a"))
-	}
-}
-
 func TestRingEdgeCases(t *testing.T) {
 	if _, err := NewRing([]string{"a", "a"}, 8); err == nil {
 		t.Fatal("duplicate node accepted")

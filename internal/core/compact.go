@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"math"
 	"sort"
@@ -144,28 +143,20 @@ func CompactCtx(ctx context.Context, rules *RuleSet, opts CompactOptions) (*Rule
 	// output (and the same stats) for any permutation of the input.
 	sortCanonical(work)
 
-	// Lines 3–11: rule translation. The queue holds candidate pivots; when a
-	// pivot translates φ', φ' is removed from the queue — all rules of its
+	// Lines 3–11: rule translation. The rules pivot in canonical order; when
+	// a pivot translates φ', φ' does not pivot later — all rules of its
 	// model-equivalence class are already unified through the pivot (§V-B1).
 	// Note φ' itself is rewritten in place rather than deleted: Line 11's
 	// removal is realized by the Fusion phase folding it into the pivot's
 	// rule.
-	queue := list.New()
-	for i := range work {
-		queue.PushBack(i)
-	}
-	inQueue := make([]bool, len(work))
-	for i := range inQueue {
-		inQueue[i] = true
-	}
-	for queue.Len() > 0 {
+	translated := make([]bool, len(work))
+	for pi := range work {
+		if translated[pi] {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, CompactStats{}, canceled(err)
 		}
-		front := queue.Front()
-		queue.Remove(front)
-		pi := front.Value.(int)
-		inQueue[pi] = false
 		pivot := &work[pi]
 		for qi := range work {
 			if qi == pi {
@@ -213,11 +204,8 @@ func CompactCtx(ctx context.Context, rules *RuleSet, opts CompactOptions) (*Rule
 					Post: &post,
 				})
 			}
-			// φ' need not pivot again: its class is unified already.
-			if inQueue[qi] {
-				removeFromList(queue, qi)
-				inQueue[qi] = false
-			}
+			// φ' need not pivot: its class is unified already.
+			translated[qi] = true
 		}
 	}
 
@@ -390,13 +378,4 @@ func canonicalKey(r *CRR) string {
 	b.WriteByte('|')
 	b.WriteString(r.Cond.String())
 	return b.String()
-}
-
-func removeFromList(l *list.List, v int) {
-	for e := l.Front(); e != nil; e = e.Next() {
-		if e.Value.(int) == v {
-			l.Remove(e)
-			return
-		}
-	}
 }

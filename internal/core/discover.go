@@ -79,16 +79,6 @@ type DiscoverConfig struct {
 	// below it accept their model regardless of error, ensuring coverage
 	// (§V-A2's VC-dimension floor). 0 means len(XAttrs)+2.
 	MinSupport int
-	// MaxNodes caps queue expansions as a runaway guard; 0 means
-	// 64·|D| + 4096.
-	MaxNodes int
-	// Prop8Splits enables Proposition 8's split sizing: instead of only the
-	// single best cut, a node splits on the top ⌈(1−ind(C))·|D_C|⌉ cut pairs
-	// (bounded by the applicable cuts), so that at least one resulting
-	// conjunction is shareable by an existing model. The extra overlapping
-	// children cost queue work; the default single best cut matches the
-	// binary searching of the paper's complexity analysis (§V-A4).
-	Prop8Splits bool
 	// Workers is the number of workers popping the one ind(C) queue: 0
 	// means 1, negative means runtime.NumCPU(). Only one worker is
 	// deterministic, with bitwise-reproducible output; several race for
@@ -117,11 +107,6 @@ type DiscoverResult struct {
 	Rules *RuleSet
 	Stats DiscoverStats
 }
-
-// prop8MaxGroups caps the split fan-out under Prop8Splits; overlapping
-// children multiply queue work, and past a few groups the sharing guarantee
-// is already overwhelmingly likely.
-const prop8MaxGroups = 3
 
 // Discover mines conditional regression rules from rel with Algorithm 1
 // (CRR searching with model sharing). It is the single context-first
@@ -203,7 +188,7 @@ func applyDefaults(cols *dataset.ColumnSet, cfg *DiscoverConfig) error {
 }
 
 // discoverPrep checks cfg against the run's columns and builds the shared
-// discovery prelude: effective MinSupport/MaxNodes, the trainable row indices
+// discovery prelude: effective MinSupport, the trainable row indices
 // (rows whose X and Y cells are all non-null and finite — null rows are the
 // imputation targets, not the training data, and a NaN or ±Inf cell can be
 // neither fit nor checked) and the mean-of-Y fallback over them. cfg has been
@@ -216,9 +201,6 @@ func discoverPrep(cols *dataset.ColumnSet, cfg *DiscoverConfig) (all []int, fall
 	rows := cols.Len()
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = len(cfg.XAttrs) + 2
-	}
-	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = 64*rows + 4096
 	}
 
 	trainable := func(a, i int) bool {
@@ -301,12 +283,11 @@ func lattice(ctx context.Context, sub *Substrate, workers int) (*DiscoverResult,
 	hl := sub.hot()
 	root := &condItem{conj: predicate.NewConjunction(), idxs: sub.all, gram: hl.rootGram(sub.all)}
 	s := &search{
-		cfg:     sub.cfg,
-		tel:     sub.tel,
-		out:     out,
-		visited: map[string]bool{conjKey(root.conj.Normalize()): true},
-		ruleOf:  make(map[regress.Model]int),
-		rng:     rand.New(rand.NewSource(sub.cfg.Seed)),
+		cfg:    sub.cfg,
+		tel:    sub.tel,
+		out:    out,
+		ruleOf: make(map[regress.Model]int),
+		rng:    rand.New(rand.NewSource(sub.cfg.Seed)),
 	}
 	s.cond.L = &s.mu
 	heap.Push(&s.q, root)
@@ -333,15 +314,16 @@ func lattice(ctx context.Context, sub *Substrate, workers int) (*DiscoverResult,
 }
 
 // search is the state the workers of one lattice run share, all behind mu:
-// the ind(C) queue, the visited set, the model set F and the emitted rules
-// with their statistics.
+// the ind(C) queue, the model set F and the emitted rules with their
+// statistics. Every split partitions its part, so the search is a partition
+// tree of the trainable rows: queued items never share a row, and a run
+// expands at most 2·|trainable| − 1 nodes.
 type search struct {
 	mu       sync.Mutex
 	cond     sync.Cond // broadcast when an item finishes
 	q        condQueue
-	inflight int   // items popped and not yet finished
-	err      error // the first error; it stops every worker
-	visited  map[string]bool
+	inflight int                   // items popped and not yet finished
+	err      error                 // the first error; it stops every worker
 	shared   []regress.Model       // F: empty at Line 2, then it only grows, by append
 	ruleOf   map[regress.Model]int // FuseShared: the rule of each model
 	rng      *rand.Rand            // RandomOrder priorities
@@ -354,11 +336,11 @@ type search struct {
 // item in flight, or the run has failed.
 func (s *search) work(ctx context.Context, ws *partWorkspace) {
 	for {
-		item, pool, capped, ok := s.pop()
+		item, pool, ok := s.pop()
 		if !ok {
 			return
 		}
-		ev, err := s.expand(ctx, ws, item, pool, capped)
+		ev, err := s.expand(ctx, ws, item, pool)
 		s.finish(item, ev, err)
 		if err != nil {
 			return
@@ -369,56 +351,40 @@ func (s *search) work(ctx context.Context, ws *partWorkspace) {
 // pop takes the best queued item, waiting while the queue is empty but an
 // item in flight may still add children. ok is false once the search is
 // complete or has failed. pool is F as of the pop, a view capped at its
-// length, so reading it is safe while F grows. capped reports that MaxNodes
-// items have been expanded already.
-func (s *search) pop() (item *condItem, pool []regress.Model, capped, ok bool) {
+// length, so reading it is safe while F grows.
+func (s *search) pop() (item *condItem, pool []regress.Model, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.err == nil {
 		if s.q.Len() > 0 {
 			item = heap.Pop(&s.q).(*condItem)
 			s.inflight++
-			capped = s.out.Stats.NodesExpanded >= s.cfg.MaxNodes
-			if !capped {
-				s.out.Stats.NodesExpanded++
-			}
+			s.out.Stats.NodesExpanded++
 			n := len(s.shared)
-			return item, s.shared[:n:n], capped, true
+			return item, s.shared[:n:n], true
 		}
 		if s.inflight == 0 {
 			break
 		}
 		s.cond.Wait()
 	}
-	return nil, nil, false, false
+	return nil, nil, false
 }
 
 // expand evaluates one popped item outside the lock.
-func (s *search) expand(ctx context.Context, ws *partWorkspace, item *condItem, pool []regress.Model, capped bool) (nodeEval, error) {
+func (s *search) expand(ctx context.Context, ws *partWorkspace, item *condItem, pool []regress.Model) (nodeEval, error) {
 	// The cancellation point: a canceled or expired context stops every
 	// worker within one queue iteration.
 	if err := ctx.Err(); err != nil {
 		return nodeEval{}, canceled(err)
 	}
-	if !capped {
-		s.tel.nodes.Inc()
-		return ws.evaluate(item, pool)
-	}
-	// The MaxNodes runaway guard tripped: stop refining and accept a model
-	// for every part still queued — Problem 1 requires Σ to cover D, so
-	// abandoned parts are not an option.
-	p := ws.part(item.idxs)
-	model, _, err := ws.trainPart(item, p)
-	if err != nil {
-		return nodeEval{}, err
-	}
-	return nodeEval{model: model, maxErr: ws.scanner.MaxAbs(model, p), accept: true, forced: true}, nil
+	s.tel.nodes.Inc()
+	return ws.evaluate(item, pool)
 }
 
 // finish publishes one finished item under the lock: its rule, the
 // statistics and its children, or the run's first error. The rule's
-// condition and the children's visited keys are built before the lock is
-// taken.
+// condition is built before the lock is taken.
 func (s *search) finish(item *condItem, ev nodeEval, err error) {
 	// Refinement accumulates one predicate per split; normalizing collapses
 	// them to minimal per-attribute bounds.
@@ -432,16 +398,6 @@ func (s *search) finish(item *condItem, ev nodeEval, err error) {
 		conj = conj.Normalize()
 	case ev.accept:
 		conj = item.conj.Normalize()
-	default:
-		// Lines 19–22: the children of a refined condition. The visited set
-		// keys on the normalized conjunction, so syntactically different but
-		// equivalent refinements (a≤5 ∧ a≤3 vs a≤3, overlapping Prop8 paths)
-		// expand once — equivalent conjunctions select the same part, so
-		// coverage is preserved by whichever spelling was queued first.
-		for i := range ev.children {
-			ch := &ev.children[i]
-			ch.key = conjKey(ch.conj.Normalize())
-		}
 	}
 
 	s.mu.Lock()
@@ -467,13 +423,10 @@ func (s *search) finish(item *condItem, ev nodeEval, err error) {
 	default:
 		st.ModelsTrained++
 		tel.trained.Inc()
+		// Lines 19–22: the children of a refined condition.
 		for i := range ev.children {
-			if s.visited[ev.children[i].key] {
-				continue
-			}
 			// A copy, so a finished sibling's rows are not kept alive.
 			ch := ev.children[i]
-			s.visited[ch.key] = true
 			// Children carry the parent's ind(C) as queue priority (Line 22).
 			ch.prio = ev.ind
 			switch s.cfg.Order {
@@ -724,8 +677,7 @@ func sumsSSE(sum, sq float64, cnt int) float64 {
 // strategy of [9]: group ℙ into complementary partitions — numeric {>c, ≤c}
 // pairs and per-attribute categorical equality fans — score each group by
 // its weighted-variance (SSE) reduction on Y, and materialize the children
-// of the k best, best first (Proposition 8's multi-split when k > 1). An
-// empty part, or k < 1, has no split.
+// of the k best, best first. An empty part, or k < 1, has no split.
 //
 // A group is applicable only when it partitions the part, so the union of
 // queue entries keeps covering D_C, which Problem 1 requires: a numeric pair
@@ -916,11 +868,8 @@ func (sc *partScan) sse(idxs []int, yattr int) float64 {
 	return s
 }
 
-// conjKey renders a conjunction for the visited set: the sorted multiset of
-// its predicates, rendered without fmt (this sits on the hot path of every
-// queue push). Callers pass the Normalize()d conjunction so that equivalent
-// spellings — redundant bounds accumulated along different refinement paths
-// — map to the same key.
+// conjKey renders a conjunction as sortRules' key: the sorted multiset of
+// its predicates.
 func conjKey(c predicate.Conjunction) string {
 	parts := make([]string, len(c.Preds))
 	for i, p := range c.Preds {
@@ -939,13 +888,11 @@ func conjKey(c predicate.Conjunction) string {
 }
 
 // condItem is a queue entry (C, priority). gram carries the part's
-// sufficient statistics when the fast path applies (see hotpath.go); key is
-// a child's visited-set key, set when its parent is published.
+// sufficient statistics when the fast path applies (see hotpath.go).
 type condItem struct {
 	conj predicate.Conjunction
 	idxs []int
 	gram *regress.Gram
-	key  string
 	prio float64
 	seq  int
 }

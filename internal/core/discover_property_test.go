@@ -55,7 +55,6 @@ func TestDiscoverInvariantsProperty(t *testing.T) {
 			Seed:           seed,
 			DisableSharing: rng.Intn(4) == 0,
 			FuseShared:     rng.Intn(2) == 0,
-			Prop8Splits:    rng.Intn(2) == 0,
 		}
 		res, err := Discover(context.Background(), rel, WithConfig(cfg))
 		if err != nil {
@@ -100,30 +99,5 @@ func TestCompactIdempotentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDiscoverProp8Splits(t *testing.T) {
-	rel := piecewiseRelation(600, 0.2, 9)
-	cfg := discoverCfg(rel, 0.5)
-	plain, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Prop8Splits = true
-	multi, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov := multi.Rules.Coverage(rel); cov != 1 {
-		t.Errorf("Prop8 coverage = %v", cov)
-	}
-	if !multi.Rules.Holds(rel) {
-		t.Error("Prop8 rules violated")
-	}
-	// Multi-split explores at least as many nodes.
-	if multi.Stats.NodesExpanded < plain.Stats.NodesExpanded {
-		t.Errorf("Prop8 expanded fewer nodes: %d vs %d",
-			multi.Stats.NodesExpanded, plain.Stats.NodesExpanded)
 	}
 }

@@ -23,8 +23,7 @@ package core
 //     fit.
 //
 // Every worker runs this hot loop (evaluate), so accept/force/split
-// decisions, Proposition 8 split sizing and MinSupport handling are decided
-// in exactly one place.
+// decisions and MinSupport handling are decided in exactly one place.
 
 import (
 	"fmt"
@@ -215,8 +214,8 @@ type nodeEval struct {
 
 // evaluate runs the hot loop for one queue item against the model pool F,
 // so the Algorithm 1 semantics — newest-first δ0 sharing, ind(C), ρ_M
-// acceptance, the MinSupport floor, Proposition 8 split sizing and the
-// coverage-forced acceptance — live in one place.
+// acceptance, the MinSupport floor, the split and the coverage-forced
+// acceptance — live in one place.
 func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEval, error) {
 	hl := ws.loop
 	cfg := hl.cfg
@@ -239,8 +238,8 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 		}
 		ev.ind = ind
 	} else {
-		// The ablation still orders the queue (and sizes Proposition 8
-		// splits) by ind(C), so Line 12 runs even with sharing off.
+		// The ablation still orders the queue by ind(C), so Line 12 runs
+		// even with sharing off.
 		start := time.Now()
 		ev.ind = ws.scanner.Index(pool, p, cfg.RhoM)
 		hl.tel.shareTime.Observe(time.Since(start))
@@ -264,20 +263,10 @@ func (ws *partWorkspace) evaluate(item *condItem, pool []regress.Model) (nodeEva
 		return ev, nil
 	}
 
-	// Line 19: the number of split predicates. The default is the single
-	// best cut; Prop8Splits takes the top ⌈(1−ind(C))·|D_C|⌉ groups
-	// (Proposition 8), capped to keep the overlap bounded. With ind(C) = 0
-	// nothing is close to shareable and the proposition is vacuous, so the
-	// single best cut is used.
-	k := 1
-	if cfg.Prop8Splits && ev.ind > 0 {
-		k = int((1-ev.ind)*float64(len(item.idxs))) + 1
-		if k > prop8MaxGroups {
-			k = prop8MaxGroups
-		}
-	}
-	for _, group := range ws.topSplits(item.idxs, k) {
-		ev.children = append(ev.children, ws.childItems(item, group)...)
+	// Line 19: split on the single best predicate group, the binary search
+	// of the paper's complexity analysis (§V-A4).
+	if groups := ws.topSplits(item.idxs, 1); len(groups) > 0 {
+		ev.children = ws.childItems(item, groups[0])
 	}
 	if len(ev.children) == 0 {
 		// No applicable predicate can split this part: accept to guarantee

@@ -62,7 +62,7 @@ func Canceled(cause error) error { return canceled(cause) }
 // instead).
 type Substrate struct {
 	cols     *dataset.ColumnSet // the run's data, built once per run
-	cfg      *DiscoverConfig    // validated; MinSupport/MaxNodes defaulted
+	cfg      *DiscoverConfig    // validated; MinSupport defaulted
 	all      []int              // trainable rows (non-null, finite X and Y), ascending
 	fallback float64            // mean of Y over the trainable rows
 	tel      discTel
@@ -96,8 +96,8 @@ func (s *Substrate) Schema() *dataset.Schema { return s.cols.Schema }
 func (s *Substrate) NumRows() int { return s.cols.Len() }
 
 // Config returns the effective configuration: defaults resolved, MinSupport
-// and MaxNodes at their documented fallbacks. The slices (XAttrs, Preds) are
-// shared with the run — treat them as read-only.
+// at its documented fallback. The slices (XAttrs, Preds) are shared with the
+// run — treat them as read-only.
 func (s *Substrate) Config() DiscoverConfig { return *s.cfg }
 
 // TrainableRows returns the indices of rows whose X and Y cells are all

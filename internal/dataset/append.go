@@ -154,13 +154,13 @@ func (a *ColumnAppender) setNull(attr, row int) {
 
 // SlidingWindow is a bounded, append-only-then-expire row window over one
 // schema: the ingestion substrate of stream maintenance. Rows arrive through
-// Append; once the window holds Capacity rows, each arrival evicts the
+// Append; once the window holds capacity rows, each arrival evicts the
 // oldest. Live rows are exposed columnar as (Cols, Sel) for the vectorized
 // predicate filters, and as a Relation snapshot for code that wants tuples.
 //
 // Eviction only moves a start cursor; dead rows linger in the appender until
 // Compact rebuilds it from the live rows. Append compacts automatically once
-// the dead region exceeds the live one, so total storage stays O(Capacity)
+// the dead region exceeds the live one, so total storage stays O(capacity)
 // and the amortized append cost O(1). Row identity across compaction is by
 // window position (0 = oldest live row), not appender index — callers
 // keeping per-row state should keep it in a queue aligned with positions.
@@ -180,9 +180,6 @@ func NewSlidingWindow(schema *Schema, capacity int) (*SlidingWindow, error) {
 	}
 	return &SlidingWindow{cap: capacity, app: NewColumnAppender(schema)}, nil
 }
-
-// Capacity returns the maximum number of live rows.
-func (w *SlidingWindow) Capacity() int { return w.cap }
 
 // Len returns the number of live rows.
 func (w *SlidingWindow) Len() int { return len(w.sel) }

@@ -249,18 +249,3 @@ func (v *View) Len() int { return len(v.Sel) }
 // Narrow returns a view over the same columns with a new selection. The
 // selection is aliased, not copied.
 func (v *View) Narrow(sel []int) *View { return &View{Cols: v.Cols, Sel: sel} }
-
-// Gather materializes the selected rows of numeric column attr into dst
-// (grown as needed) and returns it — the columnar replacement for walking
-// tuples when dense access is required (regression fits, split scoring).
-func (v *View) Gather(attr int, dst []float64) []float64 {
-	col := v.Cols.num[attr]
-	if cap(dst) < len(v.Sel) {
-		dst = make([]float64, len(v.Sel))
-	}
-	dst = dst[:len(v.Sel)]
-	for i, r := range v.Sel {
-		dst[i] = col[r]
-	}
-	return dst
-}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/telemetry"
 )
 
 // RMSE returns the root-mean-square difference between pred and truth; it
@@ -147,25 +148,12 @@ func (t *Table) AddRowf(cells ...any) {
 		case int:
 			out[i] = fmt.Sprintf("%d", v)
 		case time.Duration:
-			out[i] = FormatDuration(v)
+			out[i] = telemetry.FormatDuration(v)
 		default:
 			out[i] = fmt.Sprint(v)
 		}
 	}
 	t.AddRow(out...)
-}
-
-// FormatDuration renders a duration with units matched to its scale, the way
-// the paper reports learning in seconds and evaluation in milliseconds.
-func FormatDuration(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
-	default:
-		return fmt.Sprintf("%dµs", d.Microseconds())
-	}
 }
 
 // Render writes the table to w.

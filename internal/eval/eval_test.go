@@ -64,22 +64,6 @@ func TestTimed(t *testing.T) {
 	}
 }
 
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{2 * time.Second, "2.000s"},
-		{3500 * time.Microsecond, "3.500ms"},
-		{750 * time.Microsecond, "750µs"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.d); got != c.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Results", "Method", "RMSE")
 	tb.AddRowf("CRR", 0.123456)

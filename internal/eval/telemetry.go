@@ -53,7 +53,7 @@ func TelemetrySummary(snap telemetry.Snapshot) []string {
 			continue
 		}
 		phases = append(phases, fmt.Sprintf("%s=%s",
-			strings.TrimPrefix(name, "phase."), FormatDuration(d.Total)))
+			strings.TrimPrefix(name, "phase."), telemetry.FormatDuration(d.Total)))
 	}
 	if len(phases) > 0 {
 		lines = append(lines, "phases: "+strings.Join(phases, " "))

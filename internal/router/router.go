@@ -14,9 +14,7 @@
 //     are never retried (the node spoke; the router relays);
 //   - per-tenant token-bucket quotas (429 + Retry-After when drained);
 //   - per-tenant in-flight caps, bounding how much of the fleet one tenant
-//     can occupy, plus bounded-load candidate reordering: when the primary
-//     is much busier than its replicas the router prefers a less-loaded
-//     replica.
+//     can occupy.
 //
 // The router owns no artifact state. Everything it knows — membership, ring,
 // liveness — lives in the cluster.Tracker, and clients can fetch the same
@@ -65,11 +63,6 @@ type Config struct {
 	// 0 disables the cap.
 	TenantMaxInFlight int
 
-	// LoadBoundC is the bounded-load factor c: a primary whose in-flight
-	// count exceeds c × the fleet mean is skipped in favor of a less-loaded
-	// replica. 0 disables reordering.
-	LoadBoundC float64
-
 	// Transport performs the upstream round trips. Default: a dedicated
 	// keep-alive transport.
 	Transport http.RoundTripper
@@ -104,11 +97,6 @@ type Router struct {
 
 	tmu     sync.Mutex
 	tenants map[string]*tenantCtl
-
-	// nodeLoad tracks per-node in-flight forwards for bounded-load
-	// candidate reordering.
-	nmu      sync.Mutex
-	nodeLoad map[string]int
 
 	mux *http.ServeMux
 
@@ -154,14 +142,13 @@ func New(cfg Config) (*Router, error) {
 		cfg.Now = time.Now
 	}
 	r := &Router{
-		cfg:      cfg,
-		tracker:  cfg.Tracker,
-		reg:      cfg.Registry,
-		rt:       cfg.Transport,
-		now:      cfg.Now,
-		tenants:  map[string]*tenantCtl{},
-		nodeLoad: map[string]int{},
-		mux:      http.NewServeMux(),
+		cfg:     cfg,
+		tracker: cfg.Tracker,
+		reg:     cfg.Registry,
+		rt:      cfg.Transport,
+		now:     cfg.Now,
+		tenants: map[string]*tenantCtl{},
+		mux:     http.NewServeMux(),
 
 		ctrForwards:   cfg.Registry.Counter(telemetry.MetricRouterForwards),
 		ctrFailovers:  cfg.Registry.Counter(telemetry.MetricRouterFailovers),
@@ -250,55 +237,6 @@ func (r *Router) admit(tenant string) (func(), int, bool) {
 	}, 0, true
 }
 
-// nodeEnter/nodeExit maintain the per-node in-flight table feeding the
-// bounded-load reordering.
-func (r *Router) nodeEnter(name string) {
-	r.nmu.Lock()
-	r.nodeLoad[name]++
-	r.nmu.Unlock()
-}
-
-func (r *Router) nodeExit(name string) {
-	r.nmu.Lock()
-	r.nodeLoad[name]--
-	r.nmu.Unlock()
-}
-
-// orderCandidates applies the bounded-load variant to the ring's candidate
-// list: when the primary's in-flight count is at or above c × the mean, the
-// first candidate under the bound is promoted. Order is otherwise preserved,
-// so failover still walks the ring clockwise.
-func (r *Router) orderCandidates(cands []cluster.NodeInfo) []cluster.NodeInfo {
-	if r.cfg.LoadBoundC <= 0 || len(cands) < 2 {
-		return cands
-	}
-	r.nmu.Lock()
-	total := 0
-	for _, n := range r.nodeLoad {
-		total += n
-	}
-	bound := int(math.Ceil(r.cfg.LoadBoundC * (float64(total) + 1) / float64(len(cands))))
-	pick := -1
-	for i, c := range cands {
-		if r.nodeLoad[c.Name] < bound {
-			pick = i
-			break
-		}
-	}
-	r.nmu.Unlock()
-	if pick <= 0 {
-		return cands // primary fine, or everyone saturated: keep ring order
-	}
-	out := make([]cluster.NodeInfo, 0, len(cands))
-	out = append(out, cands[pick])
-	for i, c := range cands {
-		if i != pick {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // writeError emits serve's JSON error envelope so router rejections look
 // exactly like node rejections to clients.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
@@ -335,7 +273,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request) {
 	}
 	defer release()
 
-	cands := r.orderCandidates(r.tracker.Route(tenant))
+	cands := r.tracker.Route(tenant)
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, CodeNoNodes,
 			"no live serve node for tenant %q", tenant)
@@ -438,9 +376,6 @@ func (r *Router) forwardOnce(ctx context.Context, node cluster.NodeInfo,
 		req.Header[http.CanonicalHeaderKey(k)] = vs
 	}
 	req.Header.Set(serve.TenantHeader, tenant)
-
-	r.nodeEnter(node.Name)
-	defer r.nodeExit(node.Name)
 	return r.rt.RoundTrip(req)
 }
 

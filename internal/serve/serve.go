@@ -342,9 +342,6 @@ func (s *Server) StartDrain() {
 	}
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Serve accepts connections on l until Shutdown (or Close). It returns
 // http.ErrServerClosed after a clean shutdown, mirroring net/http.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }

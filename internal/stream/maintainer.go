@@ -36,9 +36,9 @@
 // refit.
 //
 // Refreshed rule sets leave through Snapshot(), a freshly indexed RuleSet
-// suitable for atomic hot-swap into a serving process (serve.Install /
-// InstallIfGeneration, or POST /v1/reload over the wire — cmd/crrstream
-// drives both).
+// suitable for atomic hot-swap into a serving process: in process through
+// serve.Server.InstallIfGeneration, or over the wire through POST
+// /v1/reload, which cmd/crrstream -push drives.
 //
 // The Maintainer is single-writer: Append and Snapshot must not be called
 // concurrently. Snapshots are immutable once returned and safe to serve

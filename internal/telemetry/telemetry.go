@@ -414,14 +414,17 @@ func (s Snapshot) Summary() string {
 		parts = append(parts, fmt.Sprintf("%s=%g/max%g", name, g.Last, g.Max))
 	}
 	for name, d := range s.Durations {
-		parts = append(parts, fmt.Sprintf("%s=%s(%d)", name, formatDuration(d.Total), d.Count))
+		parts = append(parts, fmt.Sprintf("%s=%s(%d)", name, FormatDuration(d.Total), d.Count))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, " ")
 }
 
-// formatDuration renders a duration with units matched to its scale.
-func formatDuration(d time.Duration) string {
+// FormatDuration renders a duration with units matched to its scale, the
+// way the paper reports learning in seconds and evaluation in milliseconds.
+// Summary lines and the CLIs' phase and table cells share it, so durations
+// render the same everywhere.
+func FormatDuration(d time.Duration) string {
 	switch {
 	case d >= time.Second:
 		return fmt.Sprintf("%.3fs", d.Seconds())
@@ -431,7 +434,3 @@ func formatDuration(d time.Duration) string {
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
 }
-
-// FormatDuration is formatDuration exported for the CLIs' summary lines, so
-// phase durations render with the same unit scaling everywhere.
-func FormatDuration(d time.Duration) string { return formatDuration(d) }
