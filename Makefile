@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/predicate/ -fuzz FuzzParseDNF -fuzztime 30s
 	$(GO) test ./internal/predicate/ -fuzz FuzzImplies -fuzztime 30s
+	$(GO) test ./internal/predicate/ -fuzz FuzzMergeWindows -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzCompactSoundness -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/colstore/ -fuzz FuzzColstoreOpen -fuzztime 30s

@@ -11,7 +11,7 @@
 // non-empty cell parses as a float). Empty cells are treated as missing.
 //
 // With -store, -input names an out-of-core column store directory (built by
-// crrgen -store or colstore.BuildCSVFile) instead of a CSV: the store is
+// crrgen -store) instead of a CSV: the store is
 // memory-mapped and mined in place, so datasets far past RAM discover
 // without ever materializing tuples. Both inputs run on one ColumnSet, so
 // every pass, -prune included, is the same on either; only the tuple-level

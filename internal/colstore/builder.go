@@ -3,17 +3,13 @@ package colstore
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"github.com/crrlab/crr/internal/dataset"
 )
@@ -469,114 +465,4 @@ func Build(dir string, rel *dataset.Relation, chunkRows int) error {
 		return err
 	}
 	return b.Finish()
-}
-
-// BuildCSVFile converts a headered CSV file into a store without ever
-// holding the relation in memory: pass one infers column kinds with exactly
-// ReadCSV's rule (a column is Numeric when every non-empty cell parses as a
-// float), pass two streams rows into the builder. Malformed input returns an
-// error wrapping dataset.ErrMalformedCSV.
-func BuildCSVFile(dir, csvPath string, chunkRows int) error {
-	schema, err := inferCSVSchema(csvPath)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(csvPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cr := csv.NewReader(f)
-	if _, err := cr.Read(); err != nil { // header row, already validated
-		return fmt.Errorf("%w: %v", dataset.ErrMalformedCSV, err)
-	}
-	b, err := NewBuilder(dir, schema, BuilderOptions{ChunkRows: chunkRows})
-	if err != nil {
-		return err
-	}
-	t := make(dataset.Tuple, schema.Len())
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			b.Abort()
-			return fmt.Errorf("%w: %v", dataset.ErrMalformedCSV, err)
-		}
-		if len(rec) != schema.Len() {
-			b.Abort()
-			return fmt.Errorf("%w: row %d has %d cells, want %d", dataset.ErrMalformedCSV, row, len(rec), schema.Len())
-		}
-		for j, cell := range rec {
-			cell = strings.TrimSpace(cell)
-			switch {
-			case cell == "":
-				t[j] = dataset.Null()
-			case schema.Attr(j).Kind == dataset.Numeric:
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					b.Abort()
-					return fmt.Errorf("%w: row %d col %d: %v", dataset.ErrMalformedCSV, row, j, err)
-				}
-				t[j] = dataset.Num(v)
-			default:
-				t[j] = dataset.Str(cell)
-			}
-		}
-		if err := b.Append(t); err != nil {
-			b.Abort()
-			return err
-		}
-	}
-	return b.Finish()
-}
-
-// inferCSVSchema streams the file once to infer column kinds, mirroring
-// ReadCSV: Numeric iff every non-empty trimmed cell parses as a float.
-func inferCSVSchema(csvPath string) (*dataset.Schema, error) {
-	f, err := os.Open(csvPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cr := csv.NewReader(f)
-	head, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", dataset.ErrMalformedCSV, err)
-	}
-	numeric := make([]bool, len(head))
-	for j := range numeric {
-		numeric[j] = true
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", dataset.ErrMalformedCSV, err)
-		}
-		for j, cell := range rec {
-			if j >= len(numeric) || !numeric[j] {
-				continue
-			}
-			cell = strings.TrimSpace(cell)
-			if cell == "" {
-				continue
-			}
-			if _, err := strconv.ParseFloat(cell, 64); err != nil {
-				numeric[j] = false
-			}
-		}
-	}
-	attrs := make([]dataset.Attribute, len(head))
-	for j, name := range head {
-		kind := dataset.Categorical
-		if numeric[j] {
-			kind = dataset.Numeric
-		}
-		attrs[j] = dataset.Attribute{Name: name, Kind: kind}
-	}
-	return dataset.NewSchema(attrs...)
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
-	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
@@ -84,7 +83,8 @@ func sameColumns(t *testing.T, got, want *dataset.ColumnSet) {
 }
 
 // TestStoreRoundTrip: build → open must reproduce the in-memory ColumnSet
-// bitwise, for chunk sizes that split dictionaries mid-file.
+// bitwise, for chunk sizes that split dictionaries mid-file, and report the
+// mapped volume.
 func TestStoreRoundTrip(t *testing.T) {
 	rel := testRelation(1000, 7)
 	want := dataset.NewColumnSet(rel)
@@ -93,11 +93,15 @@ func TestStoreRoundTrip(t *testing.T) {
 		if err := Build(dir, rel, chunk); err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}
-		st, err := OpenWith(dir, OpenOptions{VerifyChecksums: true})
+		reg := telemetry.New()
+		st, err := OpenWith(dir, OpenOptions{VerifyChecksums: true, Telemetry: reg})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}
 		sameColumns(t, st.Columns(), want)
+		if b := reg.Counter(telemetry.MetricColstoreBytesMapped).Value(); b <= 0 {
+			t.Fatalf("chunk %d: bytes_mapped %d", chunk, b)
+		}
 		if err := st.Verify(context.Background()); err != nil {
 			t.Fatalf("chunk %d verify: %v", chunk, err)
 		}
@@ -191,105 +195,6 @@ func TestZeroAndTinyStores(t *testing.T) {
 			t.Fatalf("n=%d: rows %d", n, st.Rows())
 		}
 		st.Close()
-	}
-}
-
-// TestBuildCSVFileParity: streaming a CSV into a store must agree bitwise
-// with reading the same CSV into memory (same kind inference, same lanes).
-func TestBuildCSVFileParity(t *testing.T) {
-	rel := testRelation(500, 13)
-	base := t.TempDir()
-	csvPath := filepath.Join(base, "data.csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.WriteCSV(f, rel); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	raw, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dataset.ReadCSV(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(base, "store")
-	if err := BuildCSVFile(dir, csvPath, 37); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for a := 0; a < want.Schema.Len(); a++ {
-		if st.Schema().Attr(a) != want.Schema.Attr(a) {
-			t.Fatalf("attr %d: %+v vs %+v", a, st.Schema().Attr(a), want.Schema.Attr(a))
-		}
-	}
-	sameColumns(t, st.Columns(), dataset.NewColumnSet(want))
-}
-
-// TestBuildCSVFileMalformed: corrupt CSV input must return the dataset
-// sentinel and leave no store behind.
-func TestBuildCSVFileMalformed(t *testing.T) {
-	base := t.TempDir()
-	csvPath := filepath.Join(base, "bad.csv")
-	if err := os.WriteFile(csvPath, []byte("a,b\n1,2\n3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(base, "store")
-	if err := BuildCSVFile(dir, csvPath, 0); !errors.Is(err, dataset.ErrMalformedCSV) {
-		t.Fatalf("got %v, want ErrMalformedCSV", err)
-	}
-	if _, err := OpenWith(dir, OpenOptions{}); err == nil {
-		t.Fatal("aborted build left an openable store")
-	}
-}
-
-// TestScanChunksAndFilterRange: chunked predicate scans over mapped lanes
-// must agree with a one-shot filter over the full selection, and the chunk
-// counter must reflect the visits.
-func TestScanChunksAndFilterRange(t *testing.T) {
-	rel := testRelation(1000, 21)
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := Build(dir, rel, 128); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	st, err := OpenWith(dir, OpenOptions{Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cs := st.Columns()
-	p := predicate.NumPred(0, predicate.Gt, 0)
-	want := p.Filter(cs, cs.View().Sel, nil)
-	var got, buf []int
-	if err := st.ScanChunks(100, func(lo, hi int) error {
-		buf = p.FilterRange(cs, lo, hi, buf)
-		got = append(got, buf...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("chunked scan: %d rows vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chunked scan row %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-	if n := reg.Counter(telemetry.MetricColstoreChunksScanned).Value(); n != 10 {
-		t.Fatalf("chunks_scanned %d, want 10", n)
-	}
-	if b := reg.Counter(telemetry.MetricColstoreBytesMapped).Value(); b <= 0 {
-		t.Fatalf("bytes_mapped %d", b)
 	}
 }
 

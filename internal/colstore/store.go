@@ -21,8 +21,7 @@ type OpenOptions struct {
 	// always verified (they are small and fully decoded anyway), bulk lanes
 	// only on demand — see Store.Verify.
 	VerifyChecksums bool
-	// Telemetry receives colstore.bytes_mapped at open and
-	// colstore.chunks_scanned per ScanChunks chunk; nil disables.
+	// Telemetry receives colstore.bytes_mapped at open; nil disables.
 	Telemetry *telemetry.Registry
 }
 
@@ -36,7 +35,6 @@ type Store struct {
 	cols   *dataset.ColumnSet
 	maps   []*mapping
 	lanes  []laneRef
-	chunks *telemetry.Counter
 }
 
 // laneRef remembers one mapped file for the on-demand checksum pass.
@@ -88,12 +86,7 @@ func OpenWith(dir string, opts OpenOptions) (st *Store, err error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	s := &Store{
-		dir:    dir,
-		schema: schema,
-		rows:   rows,
-		chunks: opts.Telemetry.Counter(telemetry.MetricColstoreChunksScanned),
-	}
+	s := &Store{dir: dir, schema: schema, rows: rows}
 	defer func() {
 		if err != nil {
 			s.Close()
@@ -220,29 +213,6 @@ func (s *Store) Verify(ctx context.Context) error {
 			return err
 		}
 		if err := checkCRC(l.h, l.payload, l.name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanChunks calls fn(lo, hi) over consecutive row ranges of at most
-// chunkRows rows, in row order — the chunked-scan contract: every consumer
-// that streams the store (trainable-row sweeps, predicate FilterRange,
-// Gram accumulation) visits rows through ranges like these, touching one
-// chunk's pages at a time. chunkRows ≤ 0 selects DefaultChunkRows. Each
-// chunk visit bumps colstore.chunks_scanned.
-func (s *Store) ScanChunks(chunkRows int, fn func(lo, hi int) error) error {
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
-	}
-	for lo := 0; lo < s.rows; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > s.rows {
-			hi = s.rows
-		}
-		s.chunks.Inc()
-		if err := fn(lo, hi); err != nil {
 			return err
 		}
 	}

@@ -55,7 +55,7 @@ const (
 	TraceTranslation TraceKind = iota
 	// TraceFusion merges Pre[1] into Pre[0] (Generalization aligning ρ, then
 	// Fusion of the conditions); Post is the merged rule before the final
-	// per-rule Simplify/MergeAdjacent pass.
+	// per-rule Simplify/MergeWindows(0) pass.
 	TraceFusion
 	// TraceImplied drops Pre[1] because Pre[0] implies it (Induction /
 	// Generalization, Problem 1 condition 2); Post is nil.
@@ -261,7 +261,7 @@ func CompactCtx(ctx context.Context, rules *RuleSet, opts CompactOptions) (*Rule
 	// windows that share a builtin — fusion of per-part rules produces long
 	// [a,b) ∨ [b,c) sequences per model.
 	for i := range fused {
-		fused[i].Cond = fused[i].Cond.Simplify().MergeAdjacent()
+		fused[i].Cond, _ = fused[i].Cond.Simplify().MergeWindows(0)
 	}
 
 	// Problem 1 condition 2: drop rules implied by another surviving rule.

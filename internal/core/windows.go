@@ -1,21 +1,12 @@
 package core
 
-import (
-	"math"
-	"sort"
-	"strings"
-
-	"github.com/crrlab/crr/internal/predicate"
-)
-
 // MergeWindows collapses chains of touching condition windows within each
-// rule whose y = δ builtins agree within deltaTol, replacing them by one
-// window carrying the midpoint shift and widening the rule's ρ by half the
-// δ spread. The rewrite is sound: a tuple previously guaranteed
-// |y − (f+δᵢ)| ≤ ρ satisfies |y − (f+δ*)| ≤ ρ + |δᵢ − δ*| ≤ ρ + spread/2
-// (Generalization, Proposition 4). Windows carrying x = Δ shifts, bounded on
-// several attributes, or under different categorical contexts pass through
-// untouched. deltaTol ≤ 0 merges only exactly-equal shifts.
+// rule whose y = δ builtins agree within deltaTol (predicate.DNF.MergeWindows)
+// and widens the rule's ρ by half the largest δ spread it joined. The
+// rewrite is sound: a tuple previously guaranteed |y − (f+δᵢ)| ≤ ρ satisfies
+// |y − (f+δ*)| ≤ ρ + |δᵢ − δ*| ≤ ρ + spread/2 (Generalization, Proposition 4).
+// A rule whose merge would regroup overlapping windows of different
+// builtins is left unchanged. deltaTol ≤ 0 merges only exactly-equal shifts.
 //
 // The returned set replaces s; the input is not modified.
 func MergeWindows(s *RuleSet, deltaTol float64) *RuleSet {
@@ -28,214 +19,9 @@ func MergeWindows(s *RuleSet, deltaTol float64) *RuleSet {
 	out.Rules = make([]CRR, len(s.Rules))
 	for i := range s.Rules {
 		out.Rules[i] = s.Rules[i]
-		cond, extra := mergeRuleWindows(s.Rules[i].Cond, deltaTol)
+		cond, spread := s.Rules[i].Cond.MergeWindows(deltaTol)
 		out.Rules[i].Cond = cond
-		out.Rules[i].Rho = s.Rules[i].Rho + extra
+		out.Rules[i].Rho = s.Rules[i].Rho + spread/2
 	}
 	return out
-}
-
-type deltaWindow struct {
-	attr               int
-	lo, hi             float64
-	loClosed, hiClosed bool
-	delta              float64
-	context            string
-	tmpl               predicate.Conjunction // source conjunction (context preds)
-}
-
-// mergeRuleWindows merges one rule's condition; extra is the ρ widening.
-func mergeRuleWindows(d predicate.DNF, deltaTol float64) (predicate.DNF, float64) {
-	var windows []deltaWindow
-	var passthrough []predicate.Conjunction
-	for _, c := range d.Conjs {
-		w, ok := asDeltaWindow(c)
-		if !ok {
-			passthrough = append(passthrough, c)
-			continue
-		}
-		windows = append(windows, w)
-	}
-	if len(windows) < 2 {
-		return d, 0
-	}
-	sort.SliceStable(windows, func(i, j int) bool {
-		if windows[i].context != windows[j].context {
-			return windows[i].context < windows[j].context
-		}
-		if windows[i].attr != windows[j].attr {
-			return windows[i].attr < windows[j].attr
-		}
-		if windows[i].lo != windows[j].lo {
-			return windows[i].lo < windows[j].lo
-		}
-		return windows[i].hi < windows[j].hi
-	})
-
-	var out predicate.DNF
-	var extra float64
-	emit := func(run []deltaWindow) {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, w := range run {
-			if w.delta < lo {
-				lo = w.delta
-			}
-			if w.delta > hi {
-				hi = w.delta
-			}
-		}
-		mid := (lo + hi) / 2
-		if half := (hi - lo) / 2; half > extra {
-			extra = half
-		}
-		merged := run[0]
-		for _, w := range run[1:] {
-			if w.hi > merged.hi || (w.hi == merged.hi && w.hiClosed) {
-				merged.hi, merged.hiClosed = w.hi, w.hiClosed
-			}
-		}
-		conj := rebuildDeltaWindow(merged, mid)
-		out.Conjs = append(out.Conjs, conj)
-	}
-
-	run := []deltaWindow{windows[0]}
-	runLo, runHi := windows[0].delta, windows[0].delta
-	// Running right edge of the run (windows may nest, so the last window's
-	// hi is not necessarily the run's).
-	edge, edgeClosed := windows[0].hi, windows[0].hiClosed
-	for _, w := range windows[1:] {
-		prev := run[len(run)-1]
-		lo, hi := runLo, runHi
-		if w.delta < lo {
-			lo = w.delta
-		}
-		if w.delta > hi {
-			hi = w.delta
-		}
-		joinable := w.context == prev.context && w.attr == prev.attr &&
-			edgeTouches(edge, edgeClosed, w) && hi-lo <= deltaTol
-		if joinable {
-			run = append(run, w)
-			runLo, runHi = lo, hi
-			if w.hi > edge || (w.hi == edge && w.hiClosed) {
-				edge, edgeClosed = w.hi, w.hiClosed
-			}
-			continue
-		}
-		emit(run)
-		run = []deltaWindow{w}
-		runLo, runHi = w.delta, w.delta
-		edge, edgeClosed = w.hi, w.hiClosed
-	}
-	emit(run)
-	out.Conjs = append(out.Conjs, passthrough...)
-	return out, extra
-}
-
-// edgeTouches reports whether window b connects to a run whose right edge is
-// (edge, edgeClosed): overlap, or exact adjacency with at least one side
-// including the boundary point.
-func edgeTouches(edge float64, edgeClosed bool, b deltaWindow) bool {
-	if b.lo < edge {
-		return true
-	}
-	if b.lo > edge {
-		return false
-	}
-	return edgeClosed || b.loClosed
-}
-
-// asDeltaWindow decomposes a conjunction into (context, single numeric
-// interval, pure y shift); ok is false when the shape doesn't fit.
-func asDeltaWindow(c predicate.Conjunction) (deltaWindow, bool) {
-	if len(c.Builtin.XShift) > 0 && !pureY(c.Builtin) {
-		return deltaWindow{}, false
-	}
-	attrs := map[int]bool{}
-	for _, p := range c.Preds {
-		if !p.Categorical {
-			attrs[p.Attr] = true
-		}
-	}
-	if len(attrs) != 1 {
-		return deltaWindow{}, false
-	}
-	var attr int
-	for a := range attrs {
-		attr = a
-	}
-	lo, hi, ok := c.NumericBounds(attr)
-	if !ok {
-		return deltaWindow{}, false
-	}
-	// Recover closedness from the predicates (NumericBounds drops it).
-	loClosed, hiClosed := true, true
-	for _, p := range c.Preds {
-		if p.Attr != attr || p.Categorical {
-			continue
-		}
-		switch p.Op {
-		case predicate.Gt:
-			if p.Num == lo {
-				loClosed = false
-			}
-		case predicate.Lt:
-			if p.Num == hi {
-				hiClosed = false
-			}
-		}
-	}
-	var ctx []string
-	for _, p := range c.Preds {
-		if p.Categorical {
-			ctx = append(ctx, p.String())
-		}
-	}
-	sort.Strings(ctx)
-	return deltaWindow{
-		attr: attr, lo: lo, hi: hi, loClosed: loClosed, hiClosed: hiClosed,
-		delta: c.Builtin.YShift, context: strings.Join(ctx, "&"), tmpl: c,
-	}, true
-}
-
-func pureY(b predicate.Builtin) bool {
-	for _, v := range b.XShift {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// rebuildDeltaWindow reconstructs the conjunction of a merged window,
-// copying the categorical context from the template.
-func rebuildDeltaWindow(w deltaWindow, delta float64) predicate.Conjunction {
-	conj := predicate.NewConjunction()
-	for _, p := range w.tmpl.Preds {
-		if p.Categorical {
-			conj.Preds = append(conj.Preds, p)
-		}
-	}
-	if w.lo == w.hi {
-		conj.Preds = append(conj.Preds, predicate.NumPred(w.attr, predicate.Eq, w.lo))
-	} else {
-		if !math.IsInf(w.lo, -1) {
-			op := predicate.Gt
-			if w.loClosed {
-				op = predicate.Ge
-			}
-			conj.Preds = append(conj.Preds, predicate.NumPred(w.attr, op, w.lo))
-		}
-		if !math.IsInf(w.hi, 1) {
-			op := predicate.Lt
-			if w.hiClosed {
-				op = predicate.Le
-			}
-			conj.Preds = append(conj.Preds, predicate.NumPred(w.attr, op, w.hi))
-		}
-	}
-	if delta != 0 {
-		conj.Builtin = conj.Builtin.WithYShift(delta)
-	}
-	return conj
 }

@@ -86,6 +86,26 @@ func TestMergeWindowsSoundness(t *testing.T) {
 			t.Fatalf("merged rule violated at x=%v, y=%v", x, y)
 		}
 	}
+
+	// Windows of different builtins overlap: joining [0,10) and [10,20)
+	// would put (12, 27, a) under y = 0.005 ahead of its y = 3 window.
+	win := func(lo, hi, delta float64, ctx ...predicate.Predicate) predicate.Conjunction {
+		c := predicate.NewConjunction(predicate.NumPred(0, predicate.Ge, lo), predicate.NumPred(0, predicate.Lt, hi))
+		c.Preds = append(c.Preds, ctx...)
+		if delta != 0 {
+			c.Builtin = c.Builtin.WithYShift(delta)
+		}
+		return c
+	}
+	rs = deltaRule()
+	rs.Rules[0].Cond = predicate.NewDNF(win(0, 10, 0), win(5, 15, 3, predicate.StrPred(2, "a")), win(10, 20, 0.01))
+	tpl := lineTuple(12, 27, "a")
+	if !rs.Rules[0].Sat(tpl) {
+		t.Fatal("the overlapping rule does not hold on (12, 27, a)")
+	}
+	if out := MergeWindows(rs, 0.05); !out.Rules[0].Sat(tpl) {
+		t.Fatalf("merged rule %v (ρ %v) violated at (12, 27, a)", out.Rules[0].Cond, out.Rules[0].Rho)
+	}
 }
 
 // Property: MergeWindows preserves coverage exactly and never grows

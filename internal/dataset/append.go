@@ -210,31 +210,6 @@ func (w *SlidingWindow) Append(t Tuple) (expired Tuple, err error) {
 	return expired, nil
 }
 
-// ExpireOldest evicts up to n of the oldest live rows and returns how many
-// were actually evicted. n ≤ 0 is a no-op; n ≥ Len empties the window (an
-// expiry batch larger than the resident rows must not underflow the cursor
-// or strand the compaction trigger — the amortized analysis holds with zero
-// survivors because Compact over an empty window is O(1)). Batch expiry is
-// the stream layer's "drop a whole stale chunk" path; per-row expiry stays
-// on Append.
-func (w *SlidingWindow) ExpireOldest(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if n > len(w.sel) {
-		n = len(w.sel)
-	}
-	w.tuples = w.tuples[n:]
-	w.sel = w.sel[n:]
-	// Dead rows now outnumbering live ones is the same trigger Append uses;
-	// compacting here (rather than waiting for the next Append) keeps Cols()
-	// bounded even for a caller that only ever expires.
-	if dead := w.app.Len() - len(w.sel); dead > len(w.sel) && dead > 0 {
-		w.Compact()
-	}
-	return n
-}
-
 // Cols returns the columnar mirror holding the live rows (and possibly dead
 // ones — always address it through Sel). Valid until the next Append.
 func (w *SlidingWindow) Cols() *ColumnSet { return w.app.Cols() }

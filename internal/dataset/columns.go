@@ -245,7 +245,3 @@ func (cs *ColumnSet) View() *View {
 
 // Len returns the number of selected rows.
 func (v *View) Len() int { return len(v.Sel) }
-
-// Narrow returns a view over the same columns with a new selection. The
-// selection is aliased, not copied.
-func (v *View) Narrow(sel []int) *View { return &View{Cols: v.Cols, Sel: sel} }

@@ -2,15 +2,13 @@ package dataset
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // Regression tests for the crash-surface sweep: malformed input through the
 // load paths must come back as typed sentinel errors, never as panics, and
-// the sliding window must survive degenerate capacities and expiry batches.
+// the sliding window must survive degenerate capacities.
 
 func TestAppendArityMismatchSentinel(t *testing.T) {
 	schema := appendTestSchema()
@@ -59,102 +57,6 @@ func TestSlidingWindowRejectsNonPositiveCapacity(t *testing.T) {
 		if _, err := NewSlidingWindow(appendTestSchema(), capacity); err == nil {
 			t.Fatalf("capacity %d accepted", capacity)
 		}
-	}
-}
-
-// TestSlidingWindowExpireOldest is the batch-expiry property test: any
-// interleaving of appends and ExpireOldest calls — including batches larger
-// than the resident rows — must leave the window equivalent to its live
-// rows, with the columnar mirror bitwise-identical to a direct rebuild after
-// compaction.
-func TestSlidingWindowExpireOldest(t *testing.T) {
-	schema := appendTestSchema()
-	f := func(seed int64, capRaw uint8, nRaw uint16) bool {
-		capacity := int(capRaw)%97 + 3
-		n := int(nRaw)%1500 + 1
-		rng := rand.New(rand.NewSource(seed))
-		w, err := NewSlidingWindow(schema, capacity)
-		if err != nil {
-			return false
-		}
-		var live []Tuple
-		for i := 0; i < n; i++ {
-			switch rng.Intn(4) {
-			case 0: // batch expiry, sometimes oversized, sometimes degenerate
-				req := rng.Intn(2*capacity+2) - 1 // includes -1 and > live
-				want := req
-				if want < 0 {
-					want = 0
-				}
-				if want > len(live) {
-					want = len(live)
-				}
-				if got := w.ExpireOldest(req); got != want {
-					return false
-				}
-				live = live[len(live)-w.Len():]
-			default:
-				tp := randomTuple(rng, i)
-				if _, err := w.Append(tp); err != nil {
-					return false
-				}
-				live = append(live, tp)
-				if len(live) > capacity {
-					live = live[1:]
-				}
-			}
-			if w.Len() != len(live) || len(w.Sel()) != w.Len() {
-				return false
-			}
-		}
-		// Mid-stream equivalence: every live row readable through (Cols, Sel).
-		cols, sel := w.Cols(), w.Sel()
-		for i, r := range sel {
-			if i > 0 && r <= sel[i-1] {
-				return false
-			}
-			v := live[i][0]
-			if cols.IsNull(0, r) != v.Null || cols.Float(0)[r] != v.Num {
-				return false
-			}
-		}
-		w.Compact()
-		direct := NewColumnSet(&Relation{Schema: schema, Tuples: live})
-		return columnSetsBitwiseEqual(w.Cols(), direct)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSlidingWindowExpireAll: draining the whole window (and more) must not
-// underflow, and the emptied window must keep working.
-func TestSlidingWindowExpireAll(t *testing.T) {
-	schema := appendTestSchema()
-	w, err := NewSlidingWindow(schema, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 20; i++ {
-		if _, err := w.Append(randomTuple(rng, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := w.ExpireOldest(1000); got != 8 {
-		t.Fatalf("oversized expiry evicted %d, want 8", got)
-	}
-	if w.Len() != 0 || len(w.Sel()) != 0 {
-		t.Fatalf("window not empty after full expiry: len %d", w.Len())
-	}
-	if got := w.ExpireOldest(3); got != 0 {
-		t.Fatalf("expiry on empty window evicted %d", got)
-	}
-	if _, err := w.Append(randomTuple(rng, 99)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 1 {
-		t.Fatalf("append after full expiry: len %d", w.Len())
 	}
 }
 

@@ -52,55 +52,64 @@ type Predictor interface {
 }
 
 // viewPredictor is the columnar batch-classification surface (satisfied by
-// *core.RuleSet): one call classifies every selected row of a view.
+// *core.RuleSet and impute.RuleSetPredictor): one call classifies every
+// selected row of a view.
 type viewPredictor interface {
 	PredictView(v *dataset.View) ([]float64, []bool)
 }
 
+// PredictRows answers p on the rows sel of rel, in sel's order: one
+// PredictView pass over rel's columns when p has the columnar surface and
+// sel strictly increases (a view's selection), tuple by tuple otherwise.
+// The two paths give the same answers bit for bit.
+func PredictRows(p Predictor, rel *dataset.Relation, sel []int) (preds []float64, ok []bool) {
+	if vp, isView := p.(viewPredictor); isView && len(sel) > 0 && increasing(sel) {
+		return vp.PredictView(&dataset.View{Cols: dataset.NewColumnSet(rel), Sel: sel})
+	}
+	preds = make([]float64, len(sel))
+	ok = make([]bool, len(sel))
+	for j, i := range sel {
+		preds[j], ok[j] = p.Predict(rel.Tuples[i])
+	}
+	return preds, ok
+}
+
+// increasing reports whether rows is strictly increasing.
+func increasing(rows []int) bool {
+	for i := 1; i < len(rows); i++ {
+		if rows[i] <= rows[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // Score evaluates p on rel's yattr with fallback for uncovered tuples,
-// returning the RMSE and the evaluation wall time. Predictors exposing the
-// columnar batch surface (PredictView) are scored in one columnar pass;
-// the accumulation order and results match the per-tuple loop exactly.
+// returning the RMSE and the evaluation wall time. The squared errors are
+// summed in row order.
 func Score(p Predictor, rel *dataset.Relation, yattr int, fallback float64) (rmse float64, elapsed time.Duration) {
 	start := time.Now()
+	sel := make([]int, 0, rel.Len())
+	for i, t := range rel.Tuples {
+		if !t[yattr].Null {
+			sel = append(sel, i)
+		}
+	}
+	preds, covered := PredictRows(p, rel, sel)
 	var sum float64
-	n := 0
-	if vp, ok := p.(viewPredictor); ok {
-		sel := make([]int, 0, rel.Len())
-		for i, t := range rel.Tuples {
-			if !t[yattr].Null {
-				sel = append(sel, i)
-			}
+	for j, i := range sel {
+		v := preds[j]
+		if !covered[j] {
+			v = fallback
 		}
-		preds, covered := vp.PredictView(&dataset.View{Cols: dataset.NewColumnSet(rel), Sel: sel})
-		for j, i := range sel {
-			v := preds[j]
-			if !covered[j] {
-				v = fallback
-			}
-			d := rel.Tuples[i][yattr].Num - v
-			sum += d * d
-			n++
-		}
-	} else {
-		for _, t := range rel.Tuples {
-			if t[yattr].Null {
-				continue
-			}
-			v, ok := p.Predict(t)
-			if !ok {
-				v = fallback
-			}
-			d := t[yattr].Num - v
-			sum += d * d
-			n++
-		}
+		d := rel.Tuples[i][yattr].Num - v
+		sum += d * d
 	}
 	elapsed = time.Since(start)
-	if n == 0 {
+	if len(sel) == 0 {
 		return 0, elapsed
 	}
-	return math.Sqrt(sum / float64(n)), elapsed
+	return math.Sqrt(sum / float64(len(sel))), elapsed
 }
 
 // Timed runs fn and returns its duration.

@@ -9,31 +9,13 @@ import (
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/eval"
 )
 
 // Predictor is anything that proposes a value for a tuple: a *core.RuleSet,
 // a baseline.Method, or a bespoke model.
 type Predictor interface {
 	Predict(t dataset.Tuple) (float64, bool)
-}
-
-// viewPredictor is the columnar batch-classification surface (satisfied by
-// *core.RuleSet and RuleSetPredictor): one call classifies every selected
-// row of a view. Fill and Evaluate use it to answer all imputation targets
-// in one columnar pass; results match the per-tuple path exactly.
-type viewPredictor interface {
-	PredictView(v *dataset.View) ([]float64, []bool)
-}
-
-// increasing reports whether rows is strictly increasing — the selection-
-// vector precondition of the columnar fast path.
-func increasing(rows []int) bool {
-	for i := 1; i < len(rows); i++ {
-		if rows[i] <= rows[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats reports an imputation run.
@@ -50,53 +32,28 @@ type Stats struct {
 var ErrColumnKind = errors.New("impute: target column must be numeric")
 
 // Fill imputes every null cell of numeric column col in rel, in place, using
-// p. Tuples are copied on write, so other relations sharing tuple storage
-// are unaffected.
+// p. Every null row is predicted from the pre-fill tuples. Tuples are copied
+// on write, so other relations sharing tuple storage are unaffected.
 func Fill(rel *dataset.Relation, col int, p Predictor) (Stats, error) {
 	if rel.Schema.Attr(col).Kind != dataset.Numeric {
 		return Stats{}, ErrColumnKind
 	}
 	start := time.Now()
 	var st Stats
-	if vp, ok := p.(viewPredictor); ok {
-		// Columnar fast path: one ColumnSet over the pre-fill snapshot, one
-		// batch classification of the null rows. The row path also predicts
-		// from unmutated tuples (each fill replaces only its own row), so the
-		// snapshot semantics are identical.
-		sel := make([]int, 0)
-		for i, t := range rel.Tuples {
-			if t[col].Null {
-				sel = append(sel, i)
-			}
-		}
-		if len(sel) > 0 {
-			cs := dataset.NewColumnSet(rel)
-			preds, oks := vp.PredictView(&dataset.View{Cols: cs, Sel: sel})
-			for j, i := range sel {
-				if !oks[j] {
-					st.Failed++
-					continue
-				}
-				nt := rel.Tuples[i].Clone()
-				nt[col] = dataset.Num(preds[j])
-				rel.Tuples[i] = nt
-				st.Imputed++
-			}
-		}
-		st.Duration = time.Since(start)
-		return st, nil
-	}
+	var sel []int
 	for i, t := range rel.Tuples {
-		if !t[col].Null {
-			continue
+		if t[col].Null {
+			sel = append(sel, i)
 		}
-		v, ok := p.Predict(t)
-		if !ok {
+	}
+	preds, oks := eval.PredictRows(p, rel, sel)
+	for j, i := range sel {
+		if !oks[j] {
 			st.Failed++
 			continue
 		}
-		nt := t.Clone()
-		nt[col] = dataset.Num(v)
+		nt := rel.Tuples[i].Clone()
+		nt[col] = dataset.Num(preds[j])
 		rel.Tuples[i] = nt
 		st.Imputed++
 	}
@@ -113,45 +70,24 @@ func Evaluate(masked, original *dataset.Relation, col int, rows []int, p Predict
 		return 0, Stats{}, ErrColumnKind
 	}
 	start := time.Now()
+	sel := make([]int, 0, len(rows))
+	for _, i := range rows {
+		if !original.Tuples[i][col].Null {
+			sel = append(sel, i)
+		}
+	}
+	preds, oks := eval.PredictRows(p, masked, sel)
 	var sum float64
 	n := 0
-	if vp, ok := p.(viewPredictor); ok && increasing(rows) {
-		// Columnar fast path: rows with a null ground truth are dropped
-		// before classification, exactly as the per-tuple loop skips them
-		// without bumping Failed.
-		sel := make([]int, 0, len(rows))
-		for _, i := range rows {
-			if !original.Tuples[i][col].Null {
-				sel = append(sel, i)
-			}
+	for j, i := range sel {
+		if !oks[j] {
+			st.Failed++
+			continue
 		}
-		preds, oks := vp.PredictView(&dataset.View{Cols: dataset.NewColumnSet(masked), Sel: sel})
-		for j, i := range sel {
-			if !oks[j] {
-				st.Failed++
-				continue
-			}
-			st.Imputed++
-			d := original.Tuples[i][col].Num - preds[j]
-			sum += d * d
-			n++
-		}
-	} else {
-		for _, i := range rows {
-			truth := original.Tuples[i][col]
-			if truth.Null {
-				continue
-			}
-			v, ok := p.Predict(masked.Tuples[i])
-			if !ok {
-				st.Failed++
-				continue
-			}
-			st.Imputed++
-			d := truth.Num - v
-			sum += d * d
-			n++
-		}
+		st.Imputed++
+		d := original.Tuples[i][col].Num - preds[j]
+		sum += d * d
+		n++
 	}
 	st.Duration = time.Since(start)
 	if n == 0 {

@@ -108,110 +108,6 @@ func (p Predicate) Filter(cs *dataset.ColumnSet, sel []int, dst []int) []int {
 	return dst
 }
 
-// FilterRange appends to dst (reset to length 0) the rows in [lo, hi) whose
-// cells satisfy the predicate, in row order — the chunked-scan primitive:
-// out-of-core consumers sweep a mapped lane one chunk at a time without
-// materializing a full-relation selection vector first. For any split of
-// [0, rows) into chunks, concatenating the FilterRange results equals
-// Filter over the identity selection (asserted by the package tests), so
-// predicates evaluate identically across chunk boundaries.
-func (p Predicate) FilterRange(cs *dataset.ColumnSet, lo, hi int, dst []int) []int {
-	dst = dst[:0]
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > cs.Len() {
-		hi = cs.Len()
-	}
-	if p.Categorical {
-		if p.Op != Eq {
-			return dst
-		}
-		code, ok := cs.Code(p.Attr, p.Str)
-		if !ok {
-			return dst
-		}
-		codes := cs.Codes(p.Attr)
-		for r := lo; r < hi; r++ {
-			if codes[r] == code {
-				dst = append(dst, r)
-			}
-		}
-		return dst
-	}
-	vals := cs.Float(p.Attr)
-	c := p.Num
-	if nulls := cs.Nulls(p.Attr); nulls != nil {
-		null := func(r int) bool { return nulls[r>>6]&(1<<(uint(r)&63)) != 0 }
-		switch p.Op {
-		case Eq:
-			for r := lo; r < hi; r++ {
-				if vals[r] == c && !null(r) {
-					dst = append(dst, r)
-				}
-			}
-		case Gt:
-			for r := lo; r < hi; r++ {
-				if vals[r] > c && !null(r) {
-					dst = append(dst, r)
-				}
-			}
-		case Ge:
-			for r := lo; r < hi; r++ {
-				if vals[r] >= c && !null(r) {
-					dst = append(dst, r)
-				}
-			}
-		case Lt:
-			for r := lo; r < hi; r++ {
-				if vals[r] < c && !null(r) {
-					dst = append(dst, r)
-				}
-			}
-		case Le:
-			for r := lo; r < hi; r++ {
-				if vals[r] <= c && !null(r) {
-					dst = append(dst, r)
-				}
-			}
-		}
-		return dst
-	}
-	switch p.Op {
-	case Eq:
-		for r := lo; r < hi; r++ {
-			if vals[r] == c {
-				dst = append(dst, r)
-			}
-		}
-	case Gt:
-		for r := lo; r < hi; r++ {
-			if vals[r] > c {
-				dst = append(dst, r)
-			}
-		}
-	case Ge:
-		for r := lo; r < hi; r++ {
-			if vals[r] >= c {
-				dst = append(dst, r)
-			}
-		}
-	case Lt:
-		for r := lo; r < hi; r++ {
-			if vals[r] < c {
-				dst = append(dst, r)
-			}
-		}
-	case Le:
-		for r := lo; r < hi; r++ {
-			if vals[r] <= c {
-				dst = append(dst, r)
-			}
-		}
-	}
-	return dst
-}
-
 // Filter appends to dst (reset to length 0) the rows of sel satisfying every
 // predicate of the conjunction, preserving order: the first predicate
 // narrows sel into dst, each further predicate narrows dst in place — one
@@ -227,68 +123,6 @@ func (c Conjunction) Filter(cs *dataset.ColumnSet, sel []int, dst []int) []int {
 			return dst
 		}
 		dst = p.Filter(cs, dst, dst)
-	}
-	return dst
-}
-
-// FilterRange appends to dst (reset to length 0) the rows in [lo, hi)
-// satisfying every predicate of the conjunction, in row order: the first
-// predicate range-scans the chunk, each further predicate narrows the
-// surviving rows in place. Concatenating per-chunk results over a partition
-// of [0, rows) equals Filter over the identity selection.
-func (c Conjunction) FilterRange(cs *dataset.ColumnSet, lo, hi int, dst []int) []int {
-	if len(c.Preds) == 0 {
-		dst = dst[:0]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > cs.Len() {
-			hi = cs.Len()
-		}
-		for r := lo; r < hi; r++ {
-			dst = append(dst, r)
-		}
-		return dst
-	}
-	dst = c.Preds[0].FilterRange(cs, lo, hi, dst)
-	for _, p := range c.Preds[1:] {
-		if len(dst) == 0 {
-			return dst
-		}
-		dst = p.Filter(cs, dst, dst)
-	}
-	return dst
-}
-
-// FilterView narrows a view by the conjunction, returning a fresh selection.
-func (c Conjunction) FilterView(v *dataset.View) *dataset.View {
-	return v.Narrow(c.Filter(v.Cols, v.Sel, nil))
-}
-
-// Filter appends to dst (reset to length 0) the rows of sel satisfied by at
-// least one conjunction of the DNF, preserving sel's order (Sat parity: the
-// empty DNF keeps nothing). dst must not alias sel.
-func (d DNF) Filter(cs *dataset.ColumnSet, sel []int, dst []int) []int {
-	dst = dst[:0]
-	switch len(d.Conjs) {
-	case 0:
-		return dst
-	case 1:
-		return d.Conjs[0].Filter(cs, sel, dst)
-	}
-	// Mark rows hit by any disjunct, then compact sel in order.
-	marks := make([]uint64, (cs.Len()+63)/64)
-	var buf []int
-	for _, c := range d.Conjs {
-		buf = c.Filter(cs, sel, buf)
-		for _, r := range buf {
-			marks[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
-	for _, r := range sel {
-		if marks[r>>6]&(1<<(uint(r)&63)) != 0 {
-			dst = append(dst, r)
-		}
 	}
 	return dst
 }

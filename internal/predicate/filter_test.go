@@ -76,8 +76,8 @@ func equalInts(a, b []int) bool {
 }
 
 // TestFilterMatchesSat is the Filter/Sat parity property test: across many
-// random predicates, conjunctions and DNFs, the vectorized filters must
-// select exactly the rows whose tuples satisfy Sat, in order.
+// random predicates and conjunctions, the vectorized filters must select
+// exactly the rows whose tuples satisfy Sat, in order.
 func TestFilterMatchesSat(t *testing.T) {
 	rel := filterTestRelation(500, 11)
 	cs := dataset.NewColumnSet(rel)
@@ -100,21 +100,6 @@ func TestFilterMatchesSat(t *testing.T) {
 		want = satRows(rel, full, conj.Sat)
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d: conjunction %v: filter %v, sat %v", trial, conj, got, want)
-		}
-
-		var conjs []Conjunction
-		for i, k := 0, rng.Intn(4); i < k; i++ {
-			c := NewConjunction()
-			for j, m := 0, rng.Intn(3); j < m; j++ {
-				c = c.And(randPredicate(rng))
-			}
-			conjs = append(conjs, c)
-		}
-		d := NewDNF(conjs...)
-		got = d.Filter(cs, full, nil)
-		want = satRows(rel, full, d.Sat)
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d: dnf %v: filter %v, sat %v", trial, d, got, want)
 		}
 	}
 }
@@ -144,21 +129,6 @@ func TestFilterNarrowedSelection(t *testing.T) {
 		if !equalInts(inplace, want) {
 			t.Fatalf("trial %d: %v in-place: filter %v, sat %v", trial, p, inplace, want)
 		}
-	}
-}
-
-// TestConjunctionFilterView checks the view-level wrapper.
-func TestConjunctionFilterView(t *testing.T) {
-	rel := filterTestRelation(200, 9)
-	v := dataset.NewColumnSet(rel).View()
-	conj := NewConjunction(NumPred(0, Gt, 25), NumPred(0, Le, 75))
-	nv := conj.FilterView(v)
-	want := satRows(rel, v.Sel, conj.Sat)
-	if !equalInts(nv.Sel, want) {
-		t.Fatalf("FilterView: %v, want %v", nv.Sel, want)
-	}
-	if nv.Cols != v.Cols {
-		t.Fatal("FilterView must share the column set")
 	}
 }
 

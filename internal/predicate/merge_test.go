@@ -13,9 +13,20 @@ func window(lo, hi float64) Conjunction {
 	return NewConjunction(NumPred(0, Ge, lo), NumPred(0, Lt, hi))
 }
 
+// merge0 is MergeWindows at tolerance 0, the exact merge compaction runs;
+// the exact merge must report no δ spread.
+func merge0(t *testing.T, d DNF) DNF {
+	t.Helper()
+	m, spread := d.MergeWindows(0)
+	if spread != 0 {
+		t.Fatalf("MergeWindows(0) of %v reported δ spread %v", d, spread)
+	}
+	return m
+}
+
 func TestMergeAdjacentChain(t *testing.T) {
 	d := NewDNF(window(0, 10), window(10, 20), window(20, 30))
-	m := d.MergeAdjacent()
+	m := merge0(t, d)
 	if len(m.Conjs) != 1 {
 		t.Fatalf("merged to %d disjuncts, want 1: %v", len(m.Conjs), m)
 	}
@@ -27,7 +38,7 @@ func TestMergeAdjacentChain(t *testing.T) {
 
 func TestMergeAdjacentKeepsGaps(t *testing.T) {
 	d := NewDNF(window(0, 10), window(15, 20))
-	m := d.MergeAdjacent()
+	m := merge0(t, d)
 	if len(m.Conjs) != 2 {
 		t.Fatalf("gap merged away: %v", m)
 	}
@@ -37,7 +48,7 @@ func TestMergeAdjacentRespectsBuiltins(t *testing.T) {
 	a := window(0, 10)
 	b := window(10, 20)
 	b.Builtin = b.Builtin.WithYShift(5) // different shift → no merge
-	m := NewDNF(a, b).MergeAdjacent()
+	m := merge0(t, NewDNF(a, b))
 	if len(m.Conjs) != 2 {
 		t.Fatalf("windows with different builtins merged: %v", m)
 	}
@@ -46,7 +57,7 @@ func TestMergeAdjacentRespectsBuiltins(t *testing.T) {
 	c.Builtin = c.Builtin.WithYShift(5)
 	d := window(0, 10)
 	d.Builtin = d.Builtin.WithYShift(5)
-	m = NewDNF(d, c).MergeAdjacent()
+	m = merge0(t, NewDNF(d, c))
 	if len(m.Conjs) != 1 {
 		t.Fatalf("equal-builtin windows did not merge: %v", m)
 	}
@@ -58,12 +69,12 @@ func TestMergeAdjacentRespectsBuiltins(t *testing.T) {
 func TestMergeAdjacentRespectsContext(t *testing.T) {
 	a := window(0, 10).And(StrPred(1, "x"))
 	b := window(10, 20).And(StrPred(1, "y"))
-	m := NewDNF(a, b).MergeAdjacent()
+	m := merge0(t, NewDNF(a, b))
 	if len(m.Conjs) != 2 {
 		t.Fatalf("windows with different categorical context merged: %v", m)
 	}
 	c := window(10, 20).And(StrPred(1, "x"))
-	m = NewDNF(a, c).MergeAdjacent()
+	m = merge0(t, NewDNF(a, c))
 	if len(m.Conjs) != 1 {
 		t.Fatalf("same-context windows did not merge: %v", m)
 	}
@@ -79,57 +90,67 @@ func TestMergeAdjacentBoundaryClosedness(t *testing.T) {
 	// (0,10) and (10,20) — both open at 10 — leave a hole; no merge.
 	a := NewConjunction(NumPred(0, Gt, 0), NumPred(0, Lt, 10))
 	b := NewConjunction(NumPred(0, Gt, 10), NumPred(0, Lt, 20))
-	if m := NewDNF(a, b).MergeAdjacent(); len(m.Conjs) != 2 {
+	if m := merge0(t, NewDNF(a, b)); len(m.Conjs) != 2 {
 		t.Fatalf("open-open boundary merged over the hole at 10: %v", m)
 	}
 	// (0,10] and (10,20) touch: merge.
 	c := NewConjunction(NumPred(0, Gt, 0), NumPred(0, Le, 10))
-	if m := NewDNF(c, b).MergeAdjacent(); len(m.Conjs) != 1 {
+	if m := merge0(t, NewDNF(c, b)); len(m.Conjs) != 1 {
 		t.Fatalf("closed-open boundary did not merge: %v", m)
+	}
+	// (5,7) sorts before [5,10) on the tied low end; the merged window
+	// must still include 5.
+	e := NewConjunction(NumPred(0, Gt, 5), NumPred(0, Lt, 7))
+	f := NewConjunction(NumPred(0, Ge, 5), NumPred(0, Lt, 10))
+	if m := merge0(t, NewDNF(e, f)); len(m.Conjs) != 1 || !m.Sat(tup(5)) {
+		t.Fatalf("tied low ends merged to %v, which must be one window covering 5", m)
 	}
 }
 
 func TestMergeAdjacentPassthrough(t *testing.T) {
 	// Disjuncts constraining several numeric attributes pass through.
 	multi := NewConjunction(NumPred(0, Ge, 0), NumPred(2, Lt, 5))
-	m := NewDNF(multi, window(0, 10)).MergeAdjacent()
+	m := merge0(t, NewDNF(multi, window(0, 10)))
 	if len(m.Conjs) != 2 {
 		t.Fatalf("multi-attribute disjunct handled wrongly: %v", m)
 	}
 }
 
-// Property: MergeAdjacent preserves satisfaction on a grid.
+// Property: the exact merge preserves coverage and the first-match builtin
+// on a 2-D grid. Windows lie on attribute 0 or 1, so a draw can put windows
+// on both attributes into what would be one group without the attribute in
+// the merge key.
 func TestMergeAdjacentPreservesSemantics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var conjs []Conjunction
 		n := 1 + rng.Intn(6)
 		for i := 0; i < n; i++ {
+			attr := rng.Intn(2)
 			lo := float64(rng.Intn(12) - 6)
-			c := window(lo, lo+float64(1+rng.Intn(5)))
+			c := NewConjunction(NumPred(attr, Ge, lo), NumPred(attr, Lt, lo+float64(1+rng.Intn(5))))
 			if rng.Intn(3) == 0 {
 				c.Builtin = c.Builtin.WithYShift(float64(rng.Intn(2)))
 			}
 			conjs = append(conjs, c)
 		}
 		d := NewDNF(conjs...)
-		m := d.MergeAdjacent()
-		if len(m.Conjs) > len(d.Conjs) {
+		m, spread := d.MergeWindows(0)
+		if spread != 0 || len(m.Conjs) > len(d.Conjs) {
 			return false
 		}
-		for x := -8.0; x <= 14.0; x += 0.25 {
-			tpl := tup(x)
-			if d.Sat(tpl) != m.Sat(tpl) {
-				return false
-			}
-			// The builtin a tuple resolves to must be preserved.
-			c1, ok1 := d.MatchConjunction(tpl)
-			c2, ok2 := m.MatchConjunction(tpl)
-			if ok1 != ok2 {
-				return false
-			}
-			if ok1 && !c1.Builtin.Equal(c2.Builtin) {
-				return false
+		for x0 := -8.0; x0 <= 14.0; x0 += 0.5 {
+			for x1 := -8.0; x1 <= 14.0; x1 += 0.5 {
+				tpl := dataset.Tuple{dataset.Num(x0), dataset.Num(x1)}
+				// The builtin a tuple resolves to must be preserved.
+				c1, ok1 := d.MatchConjunction(tpl)
+				c2, ok2 := m.MatchConjunction(tpl)
+				if ok1 != ok2 {
+					return false
+				}
+				if ok1 && !c1.Builtin.Equal(c2.Builtin) {
+					return false
+				}
 			}
 		}
 		return true
@@ -159,7 +180,7 @@ func edgeConj(rng *rand.Rand) Conjunction {
 
 // TestSummaryDisjointMatchesConcatenation: deciding a disjunct pair from
 // the two summaries agrees with summarizing the concatenated conjunction,
-// the test crossGroupsDisjoint makes for every cross-group pair.
+// the test MergeWindows' regroup guard makes for every pair it checks.
 func TestSummaryDisjointMatchesConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	disjoint := 0

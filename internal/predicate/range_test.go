@@ -31,71 +31,6 @@ func rangeTestRelation(n int, seed int64) *dataset.Relation {
 	return rel
 }
 
-// TestFilterRangeChunkParity: for any partition of [0, rows) into chunks,
-// concatenating FilterRange results must equal Filter over the identity
-// selection — the contract chunked out-of-core scans rely on.
-func TestFilterRangeChunkParity(t *testing.T) {
-	rel := rangeTestRelation(700, 5)
-	cs := dataset.NewColumnSet(rel)
-	full := cs.View().Sel
-
-	preds := []Predicate{
-		NumPred(0, Gt, 0.2),
-		NumPred(0, Le, -0.1),
-		NumPred(0, Eq, 0),
-		StrPred(1, "v3"),
-		StrPred(1, "absent"),
-	}
-	conjs := []Conjunction{
-		{},
-		{Preds: []Predicate{NumPred(0, Gt, -1), NumPred(0, Le, 1)}},
-		{Preds: []Predicate{StrPred(1, "v3"), NumPred(0, Gt, 0)}},
-	}
-	chunkSizes := []int{1, 63, 64, 65, 100, 700, 1000}
-	for _, p := range preds {
-		want := p.Filter(cs, full, nil)
-		for _, chunk := range chunkSizes {
-			var got []int
-			var buf []int
-			for lo := 0; lo < cs.Len(); lo += chunk {
-				hi := lo + chunk
-				buf = p.FilterRange(cs, lo, hi, buf)
-				got = append(got, buf...)
-			}
-			if !equalInts(got, want) {
-				t.Fatalf("pred %v chunk %d: %d rows vs %d", p, chunk, len(got), len(want))
-			}
-		}
-	}
-	for ci, c := range conjs {
-		want := c.Filter(cs, full, nil)
-		for _, chunk := range chunkSizes {
-			var got []int
-			var buf []int
-			for lo := 0; lo < cs.Len(); lo += chunk {
-				buf = c.FilterRange(cs, lo, lo+chunk, buf)
-				got = append(got, buf...)
-			}
-			if !equalInts(got, want) {
-				t.Fatalf("conj %d chunk %d: %d rows vs %d", ci, chunk, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestFilterRangeClamps: out-of-bounds ranges clamp instead of panicking.
-func TestFilterRangeClamps(t *testing.T) {
-	rel := rangeTestRelation(10, 1)
-	cs := dataset.NewColumnSet(rel)
-	p := NumPred(0, Gt, -1000)
-	if got := p.FilterRange(cs, -5, 1000, nil); len(got) > cs.Len() {
-		t.Fatalf("clamped range returned %d rows for %d", len(got), cs.Len())
-	}
-	if got := p.FilterRange(cs, 8, 3, nil); len(got) != 0 {
-		t.Fatalf("inverted range returned %d rows", len(got))
-	}
-}
-
 // TestGenerateColumnsParity: predicate generation over a ColumnSet must
 // produce exactly the predicates generation over the source relation does,
 // for every generator kind — the out-of-core discovery path depends on the

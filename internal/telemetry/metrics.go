@@ -49,11 +49,8 @@ const (
 
 	// Out-of-core columnar store metrics (internal/colstore): the mmap'd
 	// on-disk lane layer. bytes_mapped counts payload bytes mapped (or
-	// heap-loaded on platforms without mmap) at store open; chunks_scanned
-	// counts chunk visits through Store.ScanChunks, the unit the chunked
-	// discovery and verification sweeps are budgeted in.
-	MetricColstoreBytesMapped   = "colstore.bytes_mapped"   // counter: lane payload bytes mapped at open
-	MetricColstoreChunksScanned = "colstore.chunks_scanned" // counter: chunk visits through ScanChunks
+	// heap-loaded on platforms without mmap) at store open.
+	MetricColstoreBytesMapped = "colstore.bytes_mapped" // counter: lane payload bytes mapped at open
 
 	// Verification metrics (internal/verify + crrverify): how many oracle
 	// checks the differential harness executed and how many divergences it
